@@ -1,32 +1,24 @@
-"""Macro-benchmark: flat-kernel descents/walks vs the object-graph path.
+"""Macro-benchmark: flat-kernel descents and query walks under traffic.
 
-Quantifies the PR-10 tentpole: the structural descent and matching-walk
-inner loops used to chase ``Node`` objects -- per-step attribute loads,
-``id()`` hashing into the census tables, tuple allocation per child --
-and now run over per-rule packed integer arrays
-(:mod:`repro.grammar.kernel`).  Same algorithms, same pruning, same
-answers; the win is pure constant-factor: array indexing instead of
-pointer chasing.
+Every structural descent and matching walk runs over per-rule packed
+integer columns (:mod:`repro.grammar.kernel`).  This bench times them on
+EXI-Weblog at 50k edges:
 
-Two phases, both on EXI-Weblog at 50k edges with the same corpus and
-seed for both documents (kernel on vs ``use_kernel=False``):
-
-* **descent** -- ``preorder_of_element`` over a fixed set of *distinct*
-  random element indices (distinct so both sides miss the location memo
-  and actually descend);
+* **descent** -- ``resolve_preorder`` over a fixed set of *distinct*
+  random targets, each a full cold descent from the start rule;
 * **walks** -- ``bench_query``-style traffic rounds (renames moving the
   needle label, inserts, appends, deletes, incremental recompressions
   interleaved), each followed by a burst of timed ``select`` calls.
 
-Every round cross-checks the two documents element-for-element, and the
-maintenance story is asserted the same way the other benches do: the
-kernel must be *maintained* -- per-rule pack evictions through the
-observer channel, zero wholesale invalidations -- across the whole
-update/recompression interleaving.
+Every round checks the kernel's answers against the plain-tree oracle
+(:func:`repro.query.naive.naive_select` and the tag sequence of the
+decoded document), and the maintenance story is asserted the same way
+the other benches do: the kernel must be *maintained* -- per-rule pack
+evictions through the observer channel, zero wholesale invalidations --
+across the whole update/recompression interleaving.
 
-Results go to ``BENCH_kernel.json``; the full scale gates >= 3x on the
-descent microbench and >= 2x on the select walks.  ``--smoke`` (the CI
-job) checks schema, parity, and the maintenance counters only.
+Results go to ``BENCH_kernel.json``.  ``--smoke`` (the CI job) runs the
+same checks at a tiny scale.
 """
 
 import json
@@ -37,6 +29,7 @@ import time
 
 from repro.api import CompressedXml
 from repro.obs.metrics import summarize_latencies
+from repro.query.naive import naive_select
 from repro.trees.unranked import XmlNode
 
 FULL_SCALE = {
@@ -58,30 +51,29 @@ SEED = 42
 NEEDLE = "alert"
 QUERY = f"//{NEEDLE}"
 
-MIN_DESCENT_SPEEDUP = 3.0
-MIN_SELECT_SPEEDUP = 2.0
-
 JSON_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_kernel.json"
 )
 
 
-def make_docs(edges, seed=SEED):
+def make_doc(edges, seed=SEED):
     from repro.datasets.synthetic import make_corpus
 
     corpus = make_corpus("EXI-Weblog", edges=edges, seed=seed)
-    fast = CompressedXml.from_document(
-        corpus, auto_recompress_factor=AUTO_FACTOR, use_kernel=True
+    return CompressedXml.from_document(
+        corpus, auto_recompress_factor=AUTO_FACTOR
     )
-    corpus = make_corpus("EXI-Weblog", edges=edges, seed=seed)
-    slow = CompressedXml.from_document(
-        corpus, auto_recompress_factor=AUTO_FACTOR, use_kernel=False
-    )
-    # Smoke documents sit near the automatic small-document fallback;
-    # force the kernel active so the smoke run exercises the same code
-    # path the full scale measures.
-    fast.index.kernel.min_doc_elements = 0
-    return fast, slow
+
+
+def preorder_tags(root):
+    """Tags of a plain tree in document order (the ``tags()`` oracle)."""
+    tags = []
+    walk = [root]
+    while walk:
+        node = walk.pop()
+        tags.append(node.tag)
+        walk.extend(reversed(node.children))
+    return tags
 
 
 def apply_traffic(doc, rng, ops):
@@ -115,72 +107,53 @@ def bench_descents(doc, targets):
 def run(edges, rounds, updates_per_round, selects_per_round, descents,
         smoke=False):
     rng = random.Random(SEED)
-    fast, slow = make_docs(edges)
-    print(f"workload: EXI-Weblog {edges} edges, kernel vs object path, "
-          f"{rounds} rounds of {updates_per_round} updates + selects "
-          f"({QUERY!r}), {descents} cold descents, "
+    doc = make_doc(edges)
+    print(f"workload: EXI-Weblog {edges} edges, {rounds} rounds of "
+          f"{updates_per_round} updates + selects ({QUERY!r}), "
+          f"{descents} cold descents, "
           f"auto_recompress_factor={AUTO_FACTOR}")
 
     for _ in range(8):
-        index = rng.randrange(1, fast.element_count)
-        fast.rename(index, NEEDLE)
-        slow.rename(index, NEEDLE)
+        doc.rename(rng.randrange(1, doc.element_count), NEEDLE)
 
-    kernel = fast.index.kernel
-    fast.count(QUERY)  # warm censuses (and lazily pack) once
-    slow.count(QUERY)
+    kernel = doc.index.kernel
+    doc.count(QUERY)  # warm censuses (and lazily pack) once
 
-    # Phase 1: cold structural descents over the same distinct targets.
-    targets = rng.sample(range(1, fast.element_count),
-                         min(descents, fast.element_count - 1))
-    fast_descent = bench_descents(fast, targets)
-    slow_descent = bench_descents(slow, targets)
+    # Phase 1: cold structural descents over distinct targets.
+    targets = rng.sample(range(1, doc.element_count),
+                         min(descents, doc.element_count - 1))
+    descent = bench_descents(doc, targets)
 
     # Phase 2: select walks under interleaved update traffic.
-    fast_select, slow_select = [], []
+    selects = []
     matches = []
     for _ in range(rounds):
-        traffic_seed = rng.randrange(2**31)
-        apply_traffic(fast, random.Random(traffic_seed), updates_per_round)
-        apply_traffic(slow, random.Random(traffic_seed), updates_per_round)
-
+        apply_traffic(doc, random.Random(rng.randrange(2**31)),
+                      updates_per_round)
         for _ in range(selects_per_round):
             started = time.perf_counter()
-            matches = fast.select(QUERY)
-            fast_select.append(time.perf_counter() - started)
-        for _ in range(selects_per_round):
-            started = time.perf_counter()
-            slow_matches = slow.select(QUERY)
-            slow_select.append(time.perf_counter() - started)
+            matches = doc.select(QUERY)
+            selects.append(time.perf_counter() - started)
 
-        # Equal answers or the timing comparison is meaningless.
-        assert matches == slow_matches, \
-            "kernel select diverged from the object-path select"
-        assert list(fast.tags()) == list(slow.tags()), \
-            "kernel tags stream diverged from the object path"
+        # Checked answers or the timings measure nothing.
+        plain = doc.to_document()
+        assert matches == naive_select(plain, QUERY), \
+            "kernel select diverged from the plain-tree oracle"
+        assert list(doc.tags()) == preorder_tags(plain), \
+            "kernel tags stream diverged from the decoded document"
 
-    assert fast.to_xml() == slow.to_xml()
+    descent_us = 1e6 * sum(descent) / len(descent)
+    select_ms = 1e3 * sum(selects) / len(selects)
 
-    fast_descent_us = 1e6 * sum(fast_descent) / len(fast_descent)
-    slow_descent_us = 1e6 * sum(slow_descent) / len(slow_descent)
-    fast_select_ms = 1e3 * sum(fast_select) / len(fast_select)
-    slow_select_ms = 1e3 * sum(slow_select) / len(slow_select)
-    descent_speedup = (slow_descent_us / fast_descent_us
-                       if fast_descent_us else float("inf"))
-    select_speedup = (slow_select_ms / fast_select_ms
-                      if fast_select_ms else float("inf"))
-
-    print(f"  descent: kernel {fast_descent_us:8.2f} us/op, object "
-          f"{slow_descent_us:8.2f} us/op -> {descent_speedup:.1f}x "
+    print(f"  descent: {descent_us:8.2f} us/op "
           f"({len(targets)} cold descents)")
-    print(f"  select : kernel {fast_select_ms:8.3f} ms/query, object "
-          f"{slow_select_ms:8.3f} ms/query -> {select_speedup:.1f}x "
-          f"({len(matches)} matches of {fast.element_count} elements)")
+    print(f"  select : {select_ms:8.3f} ms/query "
+          f"({len(matches)} matches of {doc.element_count} elements)")
     print(f"  kernel : {kernel.rules_packed} rules packed "
           f"({kernel.bytes_packed} bytes), {kernel.builds} builds, "
           f"{kernel.evictions} evictions, {kernel.hits} hits, "
           f"{kernel.wholesale_invalidations} wholesale invalidations, "
-          f"{fast.recompress_runs} recompressions interleaved")
+          f"{doc.recompress_runs} recompressions interleaved")
 
     report = {
         "benchmark": "bench_kernel",
@@ -195,19 +168,15 @@ def run(edges, rounds, updates_per_round, selects_per_round, descents,
             "smoke": smoke,
         },
         "descent": {
-            "kernel_us": round(fast_descent_us, 3),
-            "object_us": round(slow_descent_us, 3),
-            "kernel_latency": summarize_latencies(fast_descent),
-            "object_latency": summarize_latencies(slow_descent),
+            "kernel_us": round(descent_us, 3),
+            "kernel_latency": summarize_latencies(descent),
         },
         "select": {
             "path": QUERY,
             "matches_final": len(matches),
-            "element_count_final": fast.element_count,
-            "kernel_ms": round(fast_select_ms, 4),
-            "object_ms": round(slow_select_ms, 4),
-            "kernel_latency": summarize_latencies(fast_select),
-            "object_latency": summarize_latencies(slow_select),
+            "element_count_final": doc.element_count,
+            "kernel_ms": round(select_ms, 4),
+            "kernel_latency": summarize_latencies(selects),
         },
         "maintenance": {
             "rules_packed_final": kernel.rules_packed,
@@ -217,16 +186,10 @@ def run(edges, rounds, updates_per_round, selects_per_round, descents,
             "pack_hits": kernel.hits,
             "kernel_wholesale_invalidations":
                 kernel.wholesale_invalidations,
-            "grammar_wholesale_invalidations_kernel_doc":
-                fast.index.wholesale_invalidations,
-            "grammar_wholesale_invalidations_object_doc":
-                slow.index.wholesale_invalidations,
-            "recompress_runs": fast.recompress_runs,
-            "updates_applied": fast.updates_applied,
-        },
-        "speedup": {
-            "descent": round(descent_speedup, 2),
-            "select": round(select_speedup, 2),
+            "grammar_wholesale_invalidations":
+                doc.index.wholesale_invalidations,
+            "recompress_runs": doc.recompress_runs,
+            "updates_applied": doc.updates_applied,
         },
     }
     with open(JSON_PATH, "w", encoding="utf-8") as handle:
@@ -238,61 +201,42 @@ def run(edges, rounds, updates_per_round, selects_per_round, descents,
 
 def check_schema(report):
     """The machine-readable contract future PRs regress against."""
-    for section in ("workload", "descent", "select", "maintenance",
-                    "speedup"):
+    for section in ("workload", "descent", "select", "maintenance"):
         assert section in report, f"missing section {section!r}"
-    for key in ("kernel_us", "object_us", "kernel_latency",
-                "object_latency"):
+    for key in ("kernel_us", "kernel_latency"):
         assert key in report["descent"], f"missing descent {key!r}"
-    for key in ("kernel_ms", "object_ms", "kernel_latency",
-                "object_latency", "matches_final"):
+    for key in ("kernel_ms", "kernel_latency", "matches_final"):
         assert key in report["select"], f"missing select {key!r}"
-    for side in ("kernel_latency", "object_latency"):
+    for section in ("descent", "select"):
+        latency = report[section]["kernel_latency"]
         for key in ("count", "p50_ms", "p95_ms", "p99_ms"):
-            assert key in report["descent"][side], (side, key)
-        assert report["descent"][side]["count"] > 0
+            assert key in latency, (section, key)
+        assert latency["count"] > 0
     for key in ("rules_packed_final", "bytes_packed_final", "pack_builds",
                 "pack_evictions", "pack_hits",
                 "kernel_wholesale_invalidations", "recompress_runs"):
         assert key in report["maintenance"], f"missing maintenance {key!r}"
-    for key in ("descent", "select"):
-        assert key in report["speedup"], f"missing speedup {key!r}"
 
 
 def check_maintenance(report):
     """The kernel must be maintained, never rebuilt wholesale.
 
-    * zero wholesale invalidations on the kernel *and* on both
-      structural indexes -- the interleaved incremental recompressions
-      must evict packs rule-by-rule, not reset anything;
+    * zero wholesale invalidations on the kernel *and* on the structural
+      index -- the interleaved incremental recompressions must evict
+      packs rule-by-rule, not reset anything;
     * per-rule pack evictions really fired (the kernel saw the traffic);
     * packs were rebuilt lazily afterwards and served hits.
     """
     maintenance = report["maintenance"]
     assert maintenance["kernel_wholesale_invalidations"] == 0, \
         "something wholesale-invalidated the kernel"
-    assert maintenance["grammar_wholesale_invalidations_kernel_doc"] == 0
-    assert maintenance["grammar_wholesale_invalidations_object_doc"] == 0
+    assert maintenance["grammar_wholesale_invalidations"] == 0
     assert maintenance["recompress_runs"] >= 1, \
         "the workload was meant to interleave recompressions"
     assert maintenance["pack_evictions"] > 0, \
         "no pack evictions -- the kernel cannot have observed the updates"
     assert maintenance["rules_packed_final"] > 0
     assert maintenance["pack_hits"] > 0
-
-
-def check_speedup(report,
-                  min_descent=MIN_DESCENT_SPEEDUP,
-                  min_select=MIN_SELECT_SPEEDUP):
-    """The acceptance bounds: >= 3x descents, >= 2x selects, full scale."""
-    assert report["speedup"]["descent"] >= min_descent, (
-        f"kernel descents only {report['speedup']['descent']:.1f}x faster "
-        f"than the object path (required >= {min_descent}x)"
-    )
-    assert report["speedup"]["select"] >= min_select, (
-        f"kernel selects only {report['speedup']['select']:.1f}x faster "
-        f"than the object path (required >= {min_select}x)"
-    )
 
 
 def test_kernel_smoke():
@@ -314,12 +258,6 @@ if __name__ == "__main__":
         report = run(smoke=smoke, **scale)
     check_schema(report)
     check_maintenance(report)
-    if not smoke:
-        check_speedup(report)
-        print("bounds ok: >= 3x cold descents, >= 2x selects under "
-              "traffic, answers identical to the object path, kernel "
-              "maintained (zero wholesale invalidations) across "
-              "interleaved updates and recompressions")
-    else:
-        print("smoke ok: schema valid, kernel agrees with the object "
-              "path, kernel maintained without wholesale invalidation")
+    print("ok: schema valid, answers equal to the plain-tree oracle, "
+          "kernel maintained (zero wholesale invalidations) across "
+          "interleaved updates and recompressions")

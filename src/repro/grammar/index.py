@@ -4,8 +4,10 @@
 
 * the paper's ``size(A, 0..k)`` *node* segments (Section III-A),
 * the analogous *element* segments counting only non-``⊥`` terminals,
-* a per-RHS-node table of generated (node, element) subtree sizes plus the
-  parameter indices occurring below each node.
+* a :class:`~repro.grammar.kernel.RulePack`: the rule body as flat
+  preorder columns of generated (node, element) subtree sizes plus the
+  parameter indices occurring below each node -- the one per-rule table
+  every descent reads.
 
 Together these answer the navigation queries every update needs --
 
@@ -42,16 +44,14 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.grammar.kernel import (
-    DEFAULT_MIN_DOC_ELEMENTS,
     GrammarKernel,
-    kernel_enabled_by_env,
+    RulePack,
     kernel_iter_element_symbols,
     kernel_locate_element,
     kernel_resolve_preorder,
 )
 from repro.grammar.navigation import PathStep
 from repro.grammar.slcf import Grammar, GrammarError
-from repro.trees.node import Node
 from repro.trees.symbols import Symbol
 
 __all__ = ["GrammarIndex", "check_element_index"]
@@ -75,21 +75,22 @@ def check_element_index(index: int, what: str = "element index") -> int:
     return index
 
 
-#: Per-RHS-node cache entry: (generated nodes, generated non-⊥ elements,
-#: parameter indices occurring in the subtree).  Parameters contribute 0 to
-#: both counts; the binding environment supplies the argument sizes.
-_NodeInfo = Tuple[int, int, Tuple[int, ...]]
-
-#: One binding of a rule parameter during a descent:
-#: (argument node, its environment, its rule's node table,
-#:  generated nodes, generated elements).
-_Binding = Tuple[Node, tuple, Dict[int, _NodeInfo], int, int]
+def _bound_counts(pack: RulePack, pos: int, env: tuple) -> Tuple[int, int]:
+    """Generated (nodes, elements) of a pack position's subtree, with its
+    parameters bound by ``env`` (element-descent bindings)."""
+    nodes = pack.nnodes[pos]
+    elems = pack.nelems[pos]
+    for param in pack.params[pos]:
+        binding = env[param - 1]
+        nodes += binding[3]
+        elems += binding[4]
+    return nodes, elems
 
 
 class _SegmentsView:
     """Lazy, always-current stand-in for ``parameter_segments(grammar)``.
 
-    Subscripting ensures the rule's tables are computed, so path isolation
+    Subscripting ensures the rule's segments exist, so path isolation
     can share the index's node segments instead of rebuilding the full
     segment dictionary on every update.
     """
@@ -124,19 +125,12 @@ class GrammarIndex:
     on construction and can be released with :meth:`detach`.
     """
 
-    def __init__(
-        self,
-        grammar: Grammar,
-        register: bool = True,
-        use_kernel: Optional[bool] = None,
-        min_doc_elements: int = DEFAULT_MIN_DOC_ELEMENTS,
-    ) -> None:
+    def __init__(self, grammar: Grammar, register: bool = True) -> None:
         self._grammar = grammar
         self._node_segments: Dict[Symbol, List[int]] = {}
         self._elem_segments: Dict[Symbol, List[int]] = {}
-        self._tables: Dict[Symbol, Dict[int, _NodeInfo]] = {}
         # Reverse call edges registered at computation time: callee -> rule
-        # heads whose cached tables were derived from it.
+        # heads whose cached segments were derived from it.
         self._dependents: Dict[Symbol, Set[Symbol]] = {}
         # Memoized ``_locate_element`` descents.  Relabels change neither
         # subtree sizes nor node identities, so a located path stays
@@ -148,16 +142,10 @@ class GrammarIndex:
         # asserted against these (untouched rules must keep their tables).
         self.evicted_rules = 0
         self.wholesale_invalidations = 0
-        # The flat-array descent kernel (see :mod:`repro.grammar.kernel`):
-        # per-rule packed integer encodings of the rule bodies, riding this
-        # index's observer forwarding so packs and tables share one
-        # invalidation lifetime.  ``None`` disables it (the object-graph
-        # fallback); default comes from ``REPRO_USE_KERNEL``.
-        if use_kernel is None:
-            use_kernel = kernel_enabled_by_env()
-        self._kernel: Optional[GrammarKernel] = (
-            GrammarKernel(self, min_doc_elements) if use_kernel else None
-        )
+        # The per-rule packs (see :mod:`repro.grammar.kernel`), riding this
+        # index's observer forwarding so packs and segments share one
+        # invalidation lifetime.
+        self._kernel = GrammarKernel(self)
         self._registered = register
         if register:
             grammar.register_observer(self)
@@ -182,18 +170,18 @@ class GrammarIndex:
         self._evict(head)
 
     def rule_relabeled(self, head: Symbol) -> None:
-        """A terminal relabel changes no size any table here caches --
-        keep everything (the tables reference live nodes, so even
-        ``tag_of`` stays correct through the relabeled symbol).  The
-        kernel pack of the relabeled rule *does* go: it caches interned
-        symbol ids and names per position.  Only that one rule's pack --
-        dependents' packs reference the relabeled terminal solely through
-        this rule's body, which they never cache into their own arrays."""
-        if self._kernel is not None:
-            self._kernel.evict(head)
+        """A terminal relabel changes no size or segment -- keep them, and
+        the located paths (they reference live nodes, so ``tag_of`` stays
+        correct through the relabeled symbol).  The pack of the relabeled
+        rule *does* go: it caches interned symbol ids and names per
+        position.  Only that one rule's pack -- dependents' packs
+        reference the relabeled terminal solely through this rule's body,
+        which they never cache into their own columns."""
+        self._kernel.evict(head)
 
     def _evict(self, head: Symbol) -> None:
-        """Drop cached tables of ``head`` and its transitive dependents.
+        """Drop the cached segments and pack of ``head`` and of its
+        transitive dependents.
 
         A rule is only ever cached after its callees (anti-SL order), so a
         cached dependent always has its reverse edge registered here --
@@ -209,11 +197,9 @@ class GrammarIndex:
                 continue
             del self._node_segments[current]
             del self._elem_segments[current]
-            self._tables.pop(current, None)
-            if kernel is not None:
-                # A pack can only exist for a rule with computed tables
-                # (it aliases them), so the cascade reaches every pack.
-                kernel.evict(current)
+            # A pack only exists for a rule with segments (building one
+            # writes them), so the cascade reaches every pack.
+            kernel.evict(current)
             self.evicted_rules += 1
             stack.extend(self._dependents.pop(current, ()))
 
@@ -221,11 +207,9 @@ class GrammarIndex:
         """Drop every cache entry (e.g. after a full recompression run)."""
         self._node_segments.clear()
         self._elem_segments.clear()
-        self._tables.clear()
         self._dependents.clear()
         self._locations.clear()
-        if self._kernel is not None:
-            self._kernel.invalidate_all()
+        self._kernel.invalidate_all()
         self.wholesale_invalidations += 1
 
     def to_dict(self) -> dict:
@@ -237,53 +221,24 @@ class GrammarIndex:
         }
 
     # ------------------------------------------------------------------
-    # flat-array kernel access
+    # pack access
     # ------------------------------------------------------------------
-    def active_kernel(self) -> Optional[GrammarKernel]:
-        """The kernel, iff the flat descent may be used *right now*.
-
-        ``None`` when the kernel is disabled, while *reader* snapshots
-        are pinned on a live grammar (the object descent's ``rhs()``
-        reads double as the copy-on-write preservation points -- the
-        exact condition that also disables ``_locations`` memo hits;
-        frozen snapshot grammars have no ``_reader_pins`` and stay
-        kernel-served), or when the document has fewer than
-        ``min_doc_elements`` elements (descents bottom out too fast for
-        packing to amortize -- and a compressed start rule is a handful
-        of RHS nodes even for a huge document, so the gate is on the
-        document, not the rule).
-        """
-        kernel = self._kernel
-        if kernel is None or getattr(self._grammar, "_reader_pins", 0):
-            return None
-        # ``min_doc_elements == 0`` means "always on": skip the
-        # element-count summation, which would otherwise be paid once
-        # per descent.
-        threshold = kernel.min_doc_elements
-        if threshold and self.element_count < threshold:
-            return None
-        return kernel
-
     def kernel_info(self) -> dict:
         """Kernel stats for status surfaces (``durable status --json``)."""
-        if self._kernel is None:
-            return {"enabled": False}
-        return {"enabled": True, **self._kernel.to_dict()}
+        return self._kernel.to_dict()
 
     @property
-    def kernel(self) -> Optional[GrammarKernel]:
-        """The kernel object itself (``None`` when disabled) -- for
-        instrumentation wiring; descents must go through
-        :meth:`active_kernel`."""
+    def kernel(self) -> GrammarKernel:
+        """The pack cache itself, for instrumentation wiring."""
         return self._kernel
 
     @property
     def cached_rule_count(self) -> int:
-        """How many rules currently have computed tables."""
+        """How many rules currently have segments."""
         return len(self._node_segments)
 
     def is_cached(self, head: Symbol) -> bool:
-        """True when ``head``'s tables are currently materialized."""
+        """True when ``head``'s segments are currently materialized."""
         return head in self._node_segments
 
     def cached_rules(self) -> Tuple[Symbol, ...]:
@@ -300,9 +255,8 @@ class GrammarIndex:
 
         Forces the whole reachable grammar first, so a snapshot built
         from this restores counting/addressing for *all* rules.  The
-        id-keyed per-node tables are deliberately not exported -- they
-        reference live ``Node`` objects and rebuild lazily per rule on
-        first descent.
+        packs are deliberately not exported -- they reference live
+        ``Node`` objects and rebuild lazily per rule on first descent.
         """
         self._ensure(self._grammar.start)
         for head in self._grammar.rules:
@@ -322,19 +276,17 @@ class GrammarIndex:
         Rebuilds the reverse call edges from the grammar so per-rule
         observer evictions keep cascading correctly over imported
         entries.  Counting queries (``element_count``, subtree sizes)
-        are answered straight from the imported lists; descents rebuild
-        their per-node tables lazily, one rule at a time.
+        are answered straight from the imported lists; descents build
+        their packs lazily, one rule at a time.
         """
         grammar = self._grammar
         self._node_segments.clear()
         self._elem_segments.clear()
-        self._tables.clear()
         self._dependents.clear()
-        if self._kernel is not None:
-            # A fresh table generation, not an eviction event: packs
-            # rebuild lazily per rule (no wholesale-invalidation count --
-            # snapshot opens must report ``rules_packed == 0`` cleanly).
-            self._kernel.reset()
+        # A fresh table generation, not an eviction event: packs build
+        # lazily per rule (no wholesale-invalidation count -- snapshot
+        # opens must report ``rules_packed == 0`` cleanly).
+        self._kernel.reset()
         for head, (node_segs, elem_segs) in segments.items():
             if head not in grammar.rules:
                 raise GrammarError(
@@ -363,127 +315,11 @@ class GrammarIndex:
     # lazy recompute (bottom-up along the call DAG)
     # ------------------------------------------------------------------
     def _ensure(self, head: Symbol) -> None:
-        # Membership is judged on the id-keyed per-node tables, not the
-        # segment lists: imported snapshot state restores the segments
-        # (the cross-rule aggregates) without tables, and those rules
-        # must still rebuild their table lazily on first descent.
-        if head in self._tables:
-            return
-        pending: Set[Symbol] = set()
-        stack = [head]
-        while stack:
-            current = stack[-1]
-            if current in self._tables:
-                pending.discard(current)
-                stack.pop()
-                continue
-            pending.add(current)
-            rhs = self._grammar.rhs(current)
-            callees: List[Symbol] = []
-            seen: Set[Symbol] = set()
-            walk = [rhs]
-            while walk:
-                node = walk.pop()
-                symbol = node.symbol
-                if symbol.is_nonterminal and symbol not in seen:
-                    seen.add(symbol)
-                    callees.append(symbol)
-                walk.extend(node.children)
-            missing = [c for c in callees if c not in self._node_segments]
-            if missing:
-                for callee in missing:
-                    if callee in pending:
-                        raise GrammarError(
-                            f"grammar is recursive: cycle through {callee!r}"
-                        )
-                stack.extend(missing)
-                continue
-            self._compute(current, rhs, callees)
-            pending.discard(current)
-            stack.pop()
-
-    def _compute(self, head: Symbol, rhs: Node, callees: List[Symbol]) -> None:
-        node_segments = self._node_segments
-        elem_segments = self._elem_segments
-
-        # Pass 1 (post-order): per-node generated sizes and parameter sets.
-        table: Dict[int, _NodeInfo] = {}
-        stack: List[Tuple[Node, bool]] = [(rhs, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if not expanded:
-                stack.append((node, True))
-                for child in node.children:
-                    stack.append((child, False))
-                continue
-            symbol = node.symbol
-            if symbol.is_parameter:
-                table[id(node)] = (0, 0, (symbol.param_index,))
-                continue
-            nodes = elems = 0
-            params: Tuple[int, ...] = ()
-            for child in node.children:
-                child_nodes, child_elems, child_params = table[id(child)]
-                nodes += child_nodes
-                elems += child_elems
-                if child_params:
-                    params += child_params
-            if symbol.is_terminal:
-                nodes += 1
-                if not symbol.is_bottom:
-                    elems += 1
-            else:
-                nodes += sum(node_segments[symbol])
-                elems += sum(elem_segments[symbol])
-            table[id(node)] = (nodes, elems, params)
-
-        # Pass 2 (preorder): split both counts at the parameters, weaving in
-        # the callees' segments around their argument subtrees.
-        node_segs: List[int] = []
-        elem_segs: List[int] = []
-        current_nodes = current_elems = 0
-        walk: List[object] = [rhs]
-        while walk:
-            item = walk.pop()
-            if item.__class__ is tuple:
-                current_nodes += item[0]
-                current_elems += item[1]
-                continue
-            symbol = item.symbol
-            if symbol.is_parameter:
-                node_segs.append(current_nodes)
-                elem_segs.append(current_elems)
-                current_nodes = current_elems = 0
-            elif symbol.is_terminal:
-                current_nodes += 1
-                if not symbol.is_bottom:
-                    current_elems += 1
-                walk.extend(reversed(item.children))
-            else:
-                callee_nodes = node_segments[symbol]
-                callee_elems = elem_segments[symbol]
-                current_nodes += callee_nodes[0]
-                current_elems += callee_elems[0]
-                interleaved: List[object] = []
-                for position, child in enumerate(item.children, start=1):
-                    interleaved.append(child)
-                    interleaved.append(
-                        (callee_nodes[position], callee_elems[position])
-                    )
-                walk.extend(reversed(interleaved))
-        node_segs.append(current_nodes)
-        elem_segs.append(current_elems)
-        if len(node_segs) != head.rank + 1:
-            raise GrammarError(
-                f"rule {head!r}: found {len(node_segs) - 1} parameters, "
-                f"rank is {head.rank}"
-            )
-
-        node_segments[head] = node_segs
-        elem_segments[head] = elem_segs
-        self._tables[head] = table
-        for callee in callees:
-            self._dependents.setdefault(callee, set()).add(head)
+        """Make ``head``'s segments available: imported or already packed
+        segments serve as they are, anything else packs the rule (and,
+        first, any callee lacking segments)."""
+        if head not in self._node_segments:
+            self._kernel.pack(head)
 
     # ------------------------------------------------------------------
     # whole-document totals
@@ -510,30 +346,16 @@ class GrammarIndex:
     # ------------------------------------------------------------------
     # element addressing
     # ------------------------------------------------------------------
-    def _sizes(
-        self,
-        node: Node,
-        env: Tuple[_Binding, ...],
-        table: Dict[int, _NodeInfo],
-    ) -> Tuple[int, int]:
-        """Generated (nodes, elements) of a RHS subtree with parameters bound."""
-        nodes, elems, params = table[id(node)]
-        for param in params:
-            binding = env[param - 1]
-            nodes += binding[3]
-            elems += binding[4]
-        return nodes, elems
-
     def _locate_element(
         self, element_index: int, track_axes: bool = False
-    ) -> Tuple[int, Node, Tuple[_Binding, ...], Dict[int, _NodeInfo],
-               List[PathStep], Optional[int], int]:
+    ) -> Tuple[int, RulePack, int, tuple, List[PathStep], Optional[int], int]:
         """Descend the derivation to the ``element_index``-th element.
 
-        Returns ``(binary preorder index, generating terminal node, binding
-        environment, that node's rule table, derivation path, parent
-        element index, document depth)``: everything the public queries
-        need, in one ``O(depth · rule-width)`` walk.
+        Returns ``(binary preorder index, pack, position of the
+        generating terminal in that pack, binding environment,
+        derivation path, parent element index, document depth)``:
+        everything the public queries need, in one
+        ``O(depth · rule-width)`` walk (:func:`kernel_locate_element`).
         The recorded :class:`PathStep` list is exactly what
         :func:`repro.grammar.navigation.resolve_preorder_path` would
         produce for the resulting preorder index, so path isolation can
@@ -550,136 +372,48 @@ class GrammarIndex:
         ``O(depth · rule-width)`` bound, and the recorded steps then
         over-approximate the isolation path, so axis queries ignore them.
         Without ``track_axes`` the two trailing results are meaningless.
+
+        Read the target's symbol off ``pack.node_objs[pos]`` (the live
+        node), not the pack's symbol columns: a memoized location may
+        outlive its pack across a relabel, which changes no size.
         """
         check_element_index(element_index)
-        total = self.element_count  # ensures the start rule's tables
+        total = self.element_count
         if element_index >= total:
             raise IndexError(
                 f"element index {element_index} out of range "
                 f"({total} elements)"
             )
-        grammar = self._grammar
         key = (element_index, track_axes)
         cached = self._locations.get(key)
-        if cached is not None and not getattr(grammar, "_reader_pins", 0):
-            # Cache hits are disabled while *reader* snapshots are
-            # pinned: the descent's ``rhs()`` reads double as the
-            # copy-on-write preservation points for the rules an update
-            # is about to rewrite in place, and a memoized path would
-            # skip them.  Transaction-rollback pins don't count -- the
-            # batch machinery preserves every rule it rewrites through
-            # its own reads (see :meth:`Grammar.pin`).
-            position, node, env, table, steps, parent, depth = cached
-            return position, node, env, table, list(steps), parent, depth
-        kernel = self.active_kernel()
-        if kernel is not None:
-            # Flat-array descent (repro.grammar.kernel): same result
-            # tuple, binding 7-tuples whose slots 0..4 match _Binding, so
-            # memo entries and downstream size lookups are format-agnostic.
-            located = kernel_locate_element(
-                self, kernel, element_index, track_axes
-            )
-            position, node, env, table, steps, parent, depth = located
-            if len(self._locations) >= 4096:
-                self._locations.clear()
-            self._locations[key] = (
-                position, node, env, table, tuple(steps), parent, depth,
-            )
-            return position, node, env, table, steps, parent, depth
-        node = grammar.rhs(grammar.start)
-        table = self._tables[grammar.start]
-        env: Tuple[_Binding, ...] = ()
-        remaining = element_index  # elements still preceding the target
-        position = 0  # binary preorder nodes consumed so far
-        parent: Optional[int] = None  # document parent of the target
-        depth = 0  # first-child edges taken so far
-        steps: List[PathStep] = []
+        if cached is not None:
+            position, pack, pos, env, steps, parent, depth = cached
+            return position, pack, pos, env, list(steps), parent, depth
+        located = kernel_locate_element(
+            self, self._kernel, element_index, track_axes
+        )
+        position, pack, pos, env, steps, parent, depth = located
+        if len(self._locations) >= 4096:
+            self._locations.clear()
+        self._locations[key] = (
+            position, pack, pos, env, tuple(steps), parent, depth,
+        )
+        return located
 
-        while True:
-            symbol = node.symbol
-            if symbol.is_parameter:
-                binding = env[symbol.param_index - 1]
-                node, env, table = binding[0], binding[1], binding[2]
-                continue
-
-            if symbol.is_terminal:
-                is_element = not symbol.is_bottom
-                if is_element:
-                    if remaining == 0:
-                        steps.append(PathStep(node, enters_rule=False))
-                        if len(self._locations) >= 4096:
-                            self._locations.clear()
-                        self._locations[key] = (
-                            position, node, env, table, tuple(steps),
-                            parent, depth,
-                        )
-                        return position, node, env, table, steps, parent, depth
-                    remaining -= 1
-                position += 1
-                for slot, child in enumerate(node.children):
-                    child_nodes, child_elems = self._sizes(child, env, table)
-                    if remaining < child_elems:
-                        if is_element and symbol.rank == 2 and slot == 0:
-                            # The element just visited is the last one the
-                            # walk left through a first-child edge: the
-                            # target's parent so far.
-                            parent = element_index - remaining - 1
-                            depth += 1
-                        node = child
-                        break
-                    remaining -= child_elems
-                    position += child_nodes
-                else:  # pragma: no cover - would mean inconsistent tables
-                    raise AssertionError("element offset beyond subtree")
-                continue
-
-            # Nonterminal application: its virtual preorder interleaves the
-            # rule body's segments with the argument subtrees
-            # (seg0, arg1, seg1, ..., argk, segk).  An argument target is
-            # descended into directly; a body-segment target enters the rule
-            # with both counters unchanged -- walking the body under the
-            # bindings reproduces exactly the interleaved sequence.
-            if symbol not in self._tables:
-                self._ensure(symbol)
-            if not track_axes:
-                # Shortcut: a target inside an argument subtree is descended
-                # into directly.  Axis tracking must not take it -- the
-                # skipped rule-body path may contain the target's binary
-                # ancestors (in particular its document parent); entering
-                # the rule below reproduces the same interleaved sequence
-                # and visits them.
-                callee_nodes = self._node_segments[symbol]
-                callee_elems = self._elem_segments[symbol]
-                descend_to = None
-                preceding_nodes = callee_nodes[0]
-                preceding_elems = callee_elems[0]
-                if remaining >= preceding_elems:
-                    for child_pos, child in enumerate(node.children, start=1):
-                        child_nodes, child_elems = \
-                            self._sizes(child, env, table)
-                        if remaining < preceding_elems + child_elems:
-                            remaining -= preceding_elems
-                            position += preceding_nodes
-                            descend_to = child
-                            break
-                        preceding_elems += \
-                            child_elems + callee_elems[child_pos]
-                        preceding_nodes += \
-                            child_nodes + callee_nodes[child_pos]
-                        if remaining < preceding_elems:
-                            break  # a body segment after this arg: enter
-                if descend_to is not None:
-                    node = descend_to
-                    continue
-            steps.append(PathStep(node, enters_rule=True))
-            outer_env = env
-            env = tuple(
-                (child, outer_env, table)
-                + self._sizes(child, outer_env, table)
-                for child in node.children
+    def _locate_binary_element(
+        self, element_index: int
+    ) -> Tuple[int, RulePack, int, tuple, List[PathStep]]:
+        """:meth:`_locate_element`, insisting on an FCNS element (rank 2:
+        first-child slot at ``pos + 1``, next-sibling slot after it)."""
+        position, pack, pos, env, steps, _parent, _depth = \
+            self._locate_element(element_index)
+        if pack.rank[pos] != 2:
+            raise GrammarError(
+                f"element {element_index} is generated by "
+                f"{pack.node_objs[pos].symbol!r}; expected a "
+                f"binary-encoded element of rank 2"
             )
-            node = grammar.rhs(symbol)
-            table = self._tables[symbol]
+        return position, pack, pos, env, steps
 
     def preorder_of_element(self, element_index: int) -> int:
         """Binary preorder index of the ``element_index``-th element."""
@@ -704,58 +438,10 @@ class GrammarIndex:
         check_element_index(start, "element window start")
         if stop is not None:
             check_element_index(stop, "element window stop")
-        total = self.element_count  # ensures the start rule's tables
+        total = self.element_count
         if stop is None or stop > total:
             stop = total
-        kernel = self.active_kernel()
-        if kernel is not None:
-            return kernel_iter_element_symbols(self, kernel, start, stop)
-        return self._iter_element_symbols(start, stop)
-
-    def _iter_element_symbols(self, start: int, stop: int) -> Iterator[Symbol]:
-        if start >= stop:
-            return
-        grammar = self._grammar
-        to_skip = start
-        to_yield = stop - start
-        stack: List[Tuple[Node, tuple, Dict[int, _NodeInfo]]] = [
-            (grammar.rhs(grammar.start), (), self._tables[grammar.start])
-        ]
-        while stack:
-            node, env, table = stack.pop()
-            symbol = node.symbol
-            if symbol.is_parameter:
-                binding = env[symbol.param_index - 1]
-                stack.append((binding[0], binding[1], binding[2]))
-                continue
-            if to_skip:
-                _nodes, elems = self._sizes(node, env, table)
-                if elems <= to_skip:
-                    to_skip -= elems
-                    continue  # window starts after this whole subtree
-            if symbol.is_terminal:
-                if not symbol.is_bottom:
-                    if to_skip:
-                        to_skip -= 1
-                    else:
-                        yield symbol
-                        to_yield -= 1
-                        if not to_yield:
-                            return
-                for child in reversed(node.children):
-                    stack.append((child, env, table))
-            else:
-                if symbol not in self._tables:
-                    self._ensure(symbol)
-                outer_env = env
-                inner_env = tuple(
-                    (child, outer_env, table)
-                    + self._sizes(child, outer_env, table)
-                    for child in node.children
-                )
-                stack.append(
-                    (grammar.rhs(symbol), inner_env, self._tables[symbol])
-                )
+        return kernel_iter_element_symbols(self, self._kernel, start, stop)
 
     def resolve_element(
         self, element_index: int
@@ -771,89 +457,27 @@ class GrammarIndex:
 
         Produces exactly the steps
         :func:`repro.grammar.navigation.resolve_preorder_path` would --
-        but descends on the cached per-RHS-node subtree sizes, so each
-        step costs O(rule width) instead of the O(generated subtree)
-        node walk ``generated_size_of_subtree_with_env`` pays per child
-        probe.  This is the resolver behind append targets (child-list
+        but descends on the packed subtree sizes, so each step costs
+        O(rule width) instead of the O(generated subtree) node walk
+        ``generated_size_of_subtree_with_env`` pays per child probe.
+        This is the resolver behind append targets (child-list
         terminators are *nodes*, not elements, so the element descent
         cannot address them): without it, every append to a long child
         list re-walks the list's whole compressed representation.
         """
         check_element_index(position, "preorder position")
-        total = self.node_count  # ensures the start rule's tables
+        total = self.node_count
         if position >= total:
             raise IndexError(
                 f"preorder index {position} out of range for a tree of "
                 f"{total} nodes"
             )
-        kernel = self.active_kernel()
-        if kernel is not None:
-            return kernel_resolve_preorder(self, kernel, position)
-        grammar = self._grammar
-        node = grammar.rhs(grammar.start)
-        table = self._tables[grammar.start]
-        env: Tuple[_Binding, ...] = ()
-        remaining = position
-        steps: List[PathStep] = []
-
-        while True:
-            symbol = node.symbol
-            if symbol.is_parameter:
-                binding = env[symbol.param_index - 1]
-                node, env, table = binding[0], binding[1], binding[2]
-                continue
-
-            if symbol.is_terminal:
-                if remaining == 0:
-                    steps.append(PathStep(node, enters_rule=False))
-                    return steps
-                remaining -= 1  # the terminal itself
-                for child in node.children:
-                    child_nodes, _elems = self._sizes(child, env, table)
-                    if remaining < child_nodes:
-                        node = child
-                        break
-                    remaining -= child_nodes
-                else:  # pragma: no cover - inconsistent tables
-                    raise AssertionError("offset beyond subtree")
-                continue
-
-            # Nonterminal application: virtual preorder interleaves the
-            # body segments with the argument subtrees (seg0, arg1,
-            # seg1, ..., argk, segk); a body-segment target enters the
-            # rule with ``remaining`` unchanged, an argument target is
-            # descended into directly (mirrors resolve_preorder_path).
-            if symbol not in self._tables:
-                self._ensure(symbol)
-            callee_nodes = self._node_segments[symbol]
-            descend_to: Optional[Node] = None
-            preceding = callee_nodes[0]
-            if remaining >= preceding:
-                for child_pos, child in enumerate(node.children, start=1):
-                    child_nodes, _elems = self._sizes(child, env, table)
-                    if remaining < preceding + child_nodes:
-                        remaining -= preceding
-                        descend_to = child
-                        break
-                    preceding += child_nodes + callee_nodes[child_pos]
-                    if remaining < preceding:
-                        break  # a body segment after this arg: enter
-            if descend_to is not None:
-                node = descend_to
-                continue
-            steps.append(PathStep(node, enters_rule=True))
-            outer_env = env
-            env = tuple(
-                (child, outer_env, table)
-                + self._sizes(child, outer_env, table)
-                for child in node.children
-            )
-            node = grammar.rhs(symbol)
-            table = self._tables[symbol]
+        return kernel_resolve_preorder(self, self._kernel, position)
 
     def tag_of(self, element_index: int) -> str:
         """Label of the ``element_index``-th element (document order)."""
-        return self._locate_element(element_index)[1].symbol.name
+        located = self._locate_element(element_index)
+        return located[1].node_objs[located[2]].symbol.name
 
     def resolve_element_with_extent(
         self, element_index: int
@@ -867,14 +491,9 @@ class GrammarIndex:
         :meth:`end_of_children_position` at the cost of a single
         ``O(depth · rule-width)`` descent.
         """
-        position, node, env, table, steps, _parent, _depth = \
-            self._locate_element(element_index)
-        if node.symbol.rank != 2:
-            raise GrammarError(
-                f"element {element_index} is generated by "
-                f"{node.symbol!r}; expected a binary-encoded element of rank 2"
-            )
-        first_nodes, first_elems = self._sizes(node.children[0], env, table)
+        position, pack, pos, env, steps = \
+            self._locate_binary_element(element_index)
+        first_nodes, first_elems = _bound_counts(pack, pos + 1, env)
         return position, steps, 1 + first_elems, position + first_nodes
 
     def element_subtree_extent(self, element_index: int) -> int:
@@ -887,15 +506,9 @@ class GrammarIndex:
         ``delete(element_index)`` removes exactly this many elements --
         the quantity batch planning needs to shift later targets.
         """
-        _pos, node, env, table, _steps, _parent, _depth = \
-            self._locate_element(element_index)
-        if node.symbol.rank != 2:
-            raise GrammarError(
-                f"element {element_index} is generated by "
-                f"{node.symbol!r}; expected a binary-encoded element of rank 2"
-            )
-        _nodes, elems = self._sizes(node.children[0], env, table)
-        return 1 + elems
+        _position, pack, pos, env, _steps = \
+            self._locate_binary_element(element_index)
+        return 1 + _bound_counts(pack, pos + 1, env)[1]
 
     def end_of_children_position(self, element_index: int) -> int:
         """Preorder index of the ``⊥`` terminating an element's child list.
@@ -905,15 +518,9 @@ class GrammarIndex:
         exactly ``size(subtree(u.1))`` positions after the element ``u``
         itself -- one subtree-size lookup instead of a stream walk.
         """
-        position, node, env, table, _steps, _parent, _depth = \
-            self._locate_element(element_index)
-        if node.symbol.rank != 2:
-            raise GrammarError(
-                f"element {element_index} is generated by "
-                f"{node.symbol!r}; expected a binary-encoded element of rank 2"
-            )
-        first_child_nodes, _ = self._sizes(node.children[0], env, table)
-        return position + first_child_nodes
+        position, pack, pos, env, _steps = \
+            self._locate_binary_element(element_index)
+        return position + _bound_counts(pack, pos + 1, env)[0]
 
     # ------------------------------------------------------------------
     # document-tree navigation (axes over element indices)
@@ -921,15 +528,10 @@ class GrammarIndex:
     def _child_slot_elements(self, element_index: int) -> Tuple[int, int]:
         """Elements generated below the element's two binary slots:
         ``(descendants, following siblings + their descendants)``."""
-        _pos, node, env, table, _steps, _parent, _depth = \
-            self._locate_element(element_index)
-        if node.symbol.rank != 2:
-            raise GrammarError(
-                f"element {element_index} is generated by "
-                f"{node.symbol!r}; expected a binary-encoded element of rank 2"
-            )
-        _nodes, below = self._sizes(node.children[0], env, table)
-        _nodes, after = self._sizes(node.children[1], env, table)
+        _position, pack, pos, env, _steps = \
+            self._locate_binary_element(element_index)
+        below = _bound_counts(pack, pos + 1, env)[1]
+        after = _bound_counts(pack, pack.nxt[pos + 1], env)[1]
         return below, after
 
     def parent_of(self, element_index: int) -> Optional[int]:
@@ -975,19 +577,12 @@ class GrammarIndex:
         """
         child = self.first_child(element_index)
         while child is not None:
-            _pos, node, env, table, _steps, _parent, _depth = \
-                self._locate_element(child)
-            if node.symbol.rank != 2:
-                raise GrammarError(
-                    f"element {child} is generated by {node.symbol!r}; "
-                    f"expected a binary-encoded element of rank 2"
-                )
-            yield child, node.symbol.name
-            _nodes, after = self._sizes(node.children[1], env, table)
-            if not after:
+            _position, pack, pos, env, _steps = \
+                self._locate_binary_element(child)
+            yield child, pack.node_objs[pos].symbol.name
+            if not _bound_counts(pack, pack.nxt[pos + 1], env)[1]:
                 return
-            _nodes, below = self._sizes(node.children[0], env, table)
-            child = child + 1 + below
+            child = child + 1 + _bound_counts(pack, pos + 1, env)[1]
 
     def children(self, element_index: int) -> Iterator[int]:
         """Element indices of the direct children, in document order.
@@ -1002,18 +597,16 @@ class GrammarIndex:
     # ------------------------------------------------------------------
     # raw table access (the query subsystem's substrate)
     # ------------------------------------------------------------------
-    def rule_table(self, head: Symbol) -> Dict[int, _NodeInfo]:
-        """The per-RHS-node ``(nodes, elements, parameters)`` table of a
-        rule, computing it (and its callees') on demand.
+    def rule_table(self, head: Symbol) -> RulePack:
+        """The rule's :class:`~repro.grammar.kernel.RulePack`, packing it
+        (and any callee lacking segments) on demand.
 
         This is the read-only substrate :mod:`repro.query.engine` walks:
-        the entries are keyed by ``id(rhs_node)`` and stay valid exactly
-        as long as the rule is untouched -- the observer channel evicts
-        the table on any mutation, so callers must re-fetch per query and
-        never cache across updates.
+        the pack stays valid exactly as long as the rule is untouched --
+        the observer channel evicts it on any mutation, so callers must
+        re-fetch per query and never cache across updates.
         """
-        self._ensure(head)
-        return self._tables[head]
+        return self._kernel.pack(head)
 
     def element_segments(self, head: Symbol) -> List[int]:
         """The rule's element-count segments ``[e0, ..., ek]``: elements

@@ -1,66 +1,52 @@
-"""Flat integer-array rule kernel for the descent/walk inner loops.
+"""Flat integer-array rule packs: the structural index and its descents.
 
-Every hot read path of this code base -- element addressing, query walks,
-preorder resolution, windowed serialization -- descends the derivation by
-walking rule bodies.  The object-graph form of that walk pays, per step,
-several attribute loads (``node.symbol``), property calls
-(``symbol.is_parameter`` & friends), an ``id()``-keyed dict probe into the
-per-rule size table, and a method call for the parameter-adjusted subtree
-sizes.  This module packs each rule body once into parallel ``array('l')``
-segments -- the cache-friendly integer-sequence representation of Maneth &
-Sebastian's structural self-indexes -- so the same descents become integer
-compares and C-array reads:
+Every read path of this code base -- element addressing, query walks,
+preorder resolution, windowed serialization -- descends the derivation
+over per-rule size tables.  This module is the one implementation of
+both: each rule body is packed once into parallel preorder columns (the
+integer-sequence representation of Maneth & Sebastian's structural
+self-indexes), and every descent runs on integer compares and list reads
+over those columns instead of chasing ``Node`` objects:
 
 * :class:`SymbolTable` -- process-wide symbol interning (symbol object ->
   small int id, identity-keyed like the symbols themselves),
-* :class:`RulePack` -- one rule body in preorder as parallel arrays:
-  ``(kind, symbol id, first-child, next-sibling, subtree-node-count,
-  subtree-element-count)`` per RHS node, aligned with (and built from) the
-  owning :class:`~repro.grammar.index.GrammarIndex` tables, plus parallel
-  object lists so kernel descents still return live ``Node``/``Symbol``
-  references and :class:`~repro.grammar.navigation.PathStep` paths,
+* :class:`RulePack` -- one rule body in preorder as parallel columns:
+  ``(kind, symbol id, rank, next-sibling, subtree-node-count,
+  subtree-element-count, parameters below)`` per RHS node, plus the
+  rule's node/element segments and parallel object lists so descents
+  still return live ``Node``/``Symbol`` references and
+  :class:`~repro.grammar.navigation.PathStep` paths,
 * :class:`GrammarKernel` -- the per-index pack cache: built lazily per
-  rule, evicted per rule through the same observer events the persistent
-  indexes ride (``set_rule``/``remove_rule``/in-place rewrites cascade
-  through ``GrammarIndex._evict``; relabels evict just the one pack whose
-  cached symbol ids went stale), never wholesale on the incremental path,
-* the kernel walk functions the index/query/navigation layers dispatch to
+  rule (callees first), evicted per rule through the observer events the
+  owning :class:`~repro.grammar.index.GrammarIndex` forwards
+  (``set_rule``/``remove_rule``/in-place rewrites cascade through
+  ``GrammarIndex._evict``; relabels evict just the one pack whose cached
+  symbol ids went stale), never wholesale on the incremental path,
+* the walk functions the index/query/navigation layers call
   (:func:`kernel_locate_element`, :func:`kernel_resolve_preorder`,
   :func:`kernel_iter_element_symbols`, :func:`kernel_stream_preorder`,
   :func:`kernel_stream_elements`).
 
 Epoch/MVCC interplay
 --------------------
-Packs reference the live rule bodies, so their lifetime must match the
-object tables': any structural mutation evicts the rule's pack along with
-its size tables.  A pinned :class:`~repro.view.SnapshotView` owns its own
+Packs reference the rule bodies they were built from, so any structural
+mutation evicts the rule's pack (and its dependents').  Descents perform
+no rule-body reads, so they are no copy-on-write preservation points:
+every in-place rewrite is preceded by ``Grammar.preserve_for_write`` (or
+goes through ``set_rule``/``remove_rule``), which is what keeps pinned
+epochs intact.  A :class:`~repro.view.SnapshotView` owns its own
 :class:`GrammarIndex` over a frozen grammar (private, stable copy-on-write
 bodies), hence its own kernel whose packs can never be invalidated --
-pinned readers keep their flat tables exactly like the CoW rule tables.
-On the *live* document the kernel stands down while reader pins exist
-(``grammar._reader_pins``): the object descent's ``rhs()`` reads double as
-copy-on-write preservation points there (see ``_locate_element``), and the
-flat walk deliberately performs no rule-body reads.
-
-Fallback
---------
-The object-graph path remains fully supported: construct the index with
-``use_kernel=False``, set ``REPRO_USE_KERNEL=0`` in the environment, or do
-nothing for documents smaller than ``min_doc_elements`` -- their descents
-bottom out after a handful of steps, too few for packing to amortize.
-(The gate is on the *document*, not the start rule: a well-compressed
-start rule is a handful of RHS nodes regardless of document size.)
-Interior rules are always packed on demand (one O(width) walk per rule,
-reused by every later descent).
+the flat analog of the pinned copy-on-write rule tables.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.grammar.navigation import PathStep
+from repro.grammar.slcf import GrammarError
 from repro.trees.symbols import Symbol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -72,8 +58,6 @@ __all__ = [
     "RulePack",
     "GrammarKernel",
     "global_symbol_table",
-    "kernel_enabled_by_env",
-    "DEFAULT_MIN_DOC_ELEMENTS",
     "kernel_locate_element",
     "kernel_resolve_preorder",
     "kernel_iter_element_symbols",
@@ -81,27 +65,13 @@ __all__ = [
     "kernel_stream_elements",
 ]
 
-#: RHS-node kind codes (the ``kind`` array): integer compares replace the
-#: ``is_terminal``/``is_parameter``/``is_bottom`` property-call chain.
+#: RHS-node kind codes (the ``kind`` column): integer compares replace the
+#: ``is_terminal``/``is_parameter``/``is_bottom`` property-call chain.  A
+#: terminal's kind doubles as its own element count (``⊥`` 0, element 1).
 KIND_BOTTOM = 0
 KIND_ELEMENT = 1
 KIND_NONTERMINAL = 2
 KIND_PARAMETER = 3
-
-#: Documents with fewer elements than this keep the object-graph
-#: descent: every walk terminates after a handful of steps, so packing
-#: buys nothing (the automatic small-document fallback).  The gate is
-#: per *document* -- a compressed start rule is tiny even for a huge
-#: document, so rule width says nothing about descent length.
-DEFAULT_MIN_DOC_ELEMENTS = 64
-
-
-def kernel_enabled_by_env() -> bool:
-    """The process-wide default: on unless ``REPRO_USE_KERNEL`` disables
-    it (the fallback CI job runs the whole tier-1 suite with ``0``)."""
-    return os.environ.get("REPRO_USE_KERNEL", "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 class SymbolTable:
@@ -153,43 +123,43 @@ def global_symbol_table() -> SymbolTable:
 
 
 class RulePack:
-    """One rule body, flattened to parallel preorder arrays.
+    """One rule body, flattened to parallel preorder columns.
 
-    For RHS preorder position ``i``:
+    For RHS preorder position ``i`` (the first child of ``i`` sits at
+    ``i + 1``):
 
     * ``kind[i]`` -- :data:`KIND_BOTTOM` / :data:`KIND_ELEMENT` /
       :data:`KIND_NONTERMINAL` / :data:`KIND_PARAMETER`,
     * ``sym[i]`` -- interned symbol id; for parameters the 1-based
       parameter index (the binding-environment slot),
     * ``rank[i]`` -- child count,
-    * ``first[i]`` -- preorder position of the first child (``-1`` leaf),
     * ``nxt[i]`` -- preorder position of the next sibling (``-1`` last),
     * ``nnodes[i]`` / ``nelems[i]`` -- generated subtree sizes *without*
-      parameter contributions (identical to the ``GrammarIndex`` per-node
-      table the pack is built from; bindings supply the argument sizes),
+      parameter contributions (bindings supply the argument sizes),
     * ``params[i]`` -- tuple of parameter indices occurring below ``i``,
     * ``node_objs[i]`` / ``sym_objs[i]`` / ``sym_names[i]`` -- the live
-      ``Node``, its ``Symbol``, and the symbol's name, so kernel descents
-      return the same object-world results as the fallback path.
+      ``Node``, its ``Symbol``, and the symbol's name, so descents
+      return object-world results.
 
-    ``table`` / ``node_segs`` / ``elem_segs`` alias the owning index's
-    per-rule tables -- pack and tables are built and evicted together, so
-    the aliases can never outlive their targets.
+    ``node_segs`` / ``elem_segs`` are the rule's node and element
+    segments (the paper's ``size(A, 0..k)``); the owning index's segment
+    dicts hold these very lists, so counting queries and snapshots read
+    them without touching the pack.
 
-    Two derived views exist purely for walk speed:
+    Three derived views exist purely for walk speed:
 
     * ``walk`` -- one tuple ``(kind, sym, rank, nxt, nnodes, nelems,
-      params, node_objs, sym_objs, sym_names, steps_enter, steps_target,
-      table)`` whose integer columns are *list* mirrors of the packed
-      arrays.  ``array('l')`` reads box a fresh ``int`` object on every
-      access; the mirrors box each value exactly once, at build time, and
-      a pack switch inside a walk becomes a single attribute load plus
-      one tuple unpack instead of eight attribute loads.
+      params, node_objs, sym_objs, sym_names, steps_enter,
+      steps_target)`` whose integer columns are *list* mirrors of the
+      packed arrays.  ``array('l')`` reads box a fresh ``int`` object on
+      every access; the mirrors box each value exactly once, at build
+      time, and a pack switch inside a walk becomes a single attribute
+      load plus one tuple unpack instead of many attribute loads.
     * ``walk_nodes`` -- the node-count descent's subset of ``walk``
       (``kind, sym, rank, nxt, nnodes, params, sym_objs, steps_enter,
       steps_target``): :func:`kernel_resolve_preorder` touches neither
       element counts nor the object columns, so its pack switches unpack
-      nine columns instead of thirteen.
+      nine columns instead of twelve.
     * ``steps_enter`` / ``steps_target`` -- one shared, immutable
       :class:`PathStep` per position (``enters_rule`` true at nonterminal
       positions, false at terminals; ``None`` elsewhere).  Consumers only
@@ -198,9 +168,9 @@ class RulePack:
     """
 
     __slots__ = (
-        "head", "n", "kind", "sym", "rank", "first", "nxt",
+        "head", "n", "kind", "sym", "rank", "nxt",
         "nnodes", "nelems", "params", "node_objs", "sym_objs", "sym_names",
-        "table", "node_segs", "elem_segs", "_label_arrays", "hop_segs",
+        "node_segs", "elem_segs", "_label_arrays", "hop_segs",
         "walk", "walk_nodes", "steps_enter", "steps_target",
     )
 
@@ -233,8 +203,7 @@ class RulePack:
     def nbytes(self) -> int:
         """Packed payload bytes (the memory-footprint gauge)."""
         total = 0
-        for name in ("kind", "sym", "rank", "first", "nxt",
-                     "nnodes", "nelems"):
+        for name in ("kind", "sym", "rank", "nxt", "nnodes", "nelems"):
             arr = getattr(self, name)
             total += arr.itemsize * len(arr)
         for entry in self._label_arrays.values():
@@ -246,14 +215,7 @@ class RulePack:
         """Per-position ``label`` occurrence counts (census substrate of
         the kernel query walk), aligned with the other arrays.  Returns
         the boxed list mirror; the packed array backs ``nbytes``."""
-        ntab = lindex.node_table(self.head, label)
-        cached = self._label_arrays.get(label)
-        if cached is not None and cached[0] is ntab:
-            return cached[2]
-        arr = array("l", [ntab[id(node)][0] for node in self.node_objs])
-        counts = arr.tolist()
-        self._label_arrays[label] = (ntab, arr, counts, {})
-        return counts
+        return self.label_hop(lindex, label)[0]
 
     def label_hop(self, lindex: "LabelIndex", label: str) -> Tuple[list, dict]:
         """``(counts, hop-body memo)`` for ``label`` -- the walk-entry
@@ -272,21 +234,25 @@ class RulePack:
         return counts, entry[3]
 
 
-def _build_pack(index: "GrammarIndex", head: Symbol,
-                symbols: SymbolTable) -> RulePack:
-    """Flatten one rule body into a :class:`RulePack`.
+def _build_pack(kernel: "GrammarKernel", head: Symbol) -> RulePack:
+    """Flatten one rule body into a :class:`RulePack` with its segments.
 
-    One O(width) preorder walk; the per-node sizes come straight out of
-    the index's own table (``_ensure`` computes it bottom-up first), so
-    pack and object tables can never disagree.
+    A preorder walk lays the body out and fills the symbol columns; one
+    reverse sweep over the positions then derives every subtree column
+    (next sibling, generated node/element counts, parameters below) and
+    the rule's node/element segments from the children's.  Callee
+    segments come from the owning index; callees without any (neither
+    packed nor imported from a snapshot) are packed first, through
+    :meth:`GrammarKernel.pack`.
     """
-    index._ensure(head)
-    rhs = index.grammar.rhs(head)
-    table = index._tables[head]
+    index = kernel._index
+    node_segments = index._node_segments
+    elem_segments = index._elem_segments
+    dependents = index._dependents
 
     order: List[object] = []
     append = order.append
-    stack = [rhs]
+    stack = [index.grammar.rhs(head)]
     pop = stack.pop
     extend = stack.extend
     while stack:
@@ -300,22 +266,18 @@ def _build_pack(index: "GrammarIndex", head: Symbol,
     kind_l = [0] * n
     sym_l = [0] * n
     rank_l = [0] * n
-    nnodes_l = [0] * n
-    nelems_l = [0] * n
-    params: List[Tuple[int, ...]] = [()] * n
-    node_objs: List[object] = order
     sym_objs: List[Symbol] = [None] * n  # type: ignore[list-item]
     sym_names: List[str] = [""] * n
     steps_enter: List[Optional[PathStep]] = [None] * n
     steps_target: List[Optional[PathStep]] = [None] * n
 
-    # One forward pass fills every per-node column.  Symbol facts come
-    # from the table's interning memo (one dict probe instead of the
-    # kind/rank/name property cascade); sizes come straight out of the
-    # index's own table (``_ensure`` computes it bottom-up first), so
-    # pack and object tables can never disagree.
+    # Forward: symbol columns.  Symbol facts come from the table's
+    # interning memo (one dict probe instead of the kind/rank/name
+    # property cascade).
+    symbols = kernel.symbols
     si = symbols.info
     id_of = symbols.id_of
+    callees: Dict[Symbol, tuple] = {}
     for i, node in enumerate(order):
         symbol = node.symbol
         inf = si.get(symbol)
@@ -340,40 +302,101 @@ def _build_pack(index: "GrammarIndex", head: Symbol,
             steps_target[i] = PathStep(node, False)
         elif k == KIND_NONTERMINAL:
             steps_enter[i] = PathStep(node, True)
-        t_nodes, t_elems, t_params = table[id(node)]
-        nnodes_l[i] = t_nodes
-        nelems_l[i] = t_elems
-        if t_params:
-            params[i] = t_params
+            callees[symbol] = ()
+    missing = [callee for callee in callees if callee not in node_segments]
+    if missing:
+        _pack_bottom_up(kernel, missing)
+    # Per distinct callee: (generated nodes, elements, node segments,
+    # element segments) -- applications of one callee repeat a lot.
+    for callee in callees:
+        dependents.setdefault(callee, set()).add(head)
+        callee_nodes = node_segments[callee]
+        callee_elems = elem_segments[callee]
+        callees[callee] = (sum(callee_nodes), sum(callee_elems),
+                           callee_nodes, callee_elems)
 
-    # Subtree spans in RHS nodes, without a position dict: a node's
-    # first child sits at ``i + 1`` and sibling subtrees are adjacent,
-    # so reversed preorder locates children by offset arithmetic (rank
-    # equals child count in a ranked alphabet).  Child spans are always
-    # ready because every node is visited after its descendants.
+    # Reverse: every node is visited after its descendants, so child
+    # spans (in RHS nodes), sizes, and parameter segments are ready.
+    # Children are located by offset arithmetic -- the first at ``i + 1``,
+    # each sibling right after its predecessor's span.  Subtrees with
+    # parameters below also carry their own ``(node segments, element
+    # segments)`` split at those parameters: a rule body is linear, so
+    # only the few nodes on a parameter's ancestor path ever do.
     span = [1] * n
-    for i in range(n - 1, -1, -1):
-        r = rank_l[i]
-        if r:
-            total = 1
-            c = i + 1
-            for _ in range(r):
-                s = span[c]
-                total += s
-                c += s
-            span[i] = total
-
-    first_l = [-1] * n
     nxt_l = [-1] * n
-    for i in range(n):
+    nnodes_l = [0] * n
+    nelems_l = [0] * n
+    params: List[Tuple[int, ...]] = [()] * n
+    split: Dict[int, Tuple[List[int], List[int]]] = {}
+    for i in range(n - 1, -1, -1):
+        k = kind_l[i]
+        if k == KIND_PARAMETER:
+            params[i] = (sym_l[i],)
+            split[i] = ([0, 0], [0, 0])
+            continue
+        if k == KIND_NONTERMINAL:
+            nodes, elems, callee_nodes, callee_elems = callees[sym_objs[i]]
+        else:
+            nodes = 1
+            elems = k
         r = rank_l[i]
-        if r:
+        if not r:
+            nnodes_l[i] = nodes
+            nelems_l[i] = elems
+            continue
+        total = 1
+        below: Tuple[int, ...] = ()
+        c = i + 1
+        for _ in range(r):
+            s = span[c]
+            total += s
+            nodes += nnodes_l[c]
+            elems += nelems_l[c]
+            if params[c]:
+                below += params[c]
+            nxt_l[c] = c + s
+            c += s
+        nxt_l[c - s] = -1
+        span[i] = total
+        nnodes_l[i] = nodes
+        nelems_l[i] = elems
+        if below:
+            params[i] = below
+            # Concatenate the children's splits, merging each boundary;
+            # an application weaves its callee's segments in between
+            # (virtual preorder: seg0, arg1, seg1, ..., argk, segk).
+            if k == KIND_NONTERMINAL:
+                seg_nodes = [callee_nodes[0]]
+                seg_elems = [callee_elems[0]]
+            else:
+                seg_nodes = [1]
+                seg_elems = [k]
             c = i + 1
-            first_l[i] = c
-            for _ in range(r - 1):
-                following = c + span[c]
-                nxt_l[c] = following
-                c = following
+            for slot in range(1, r + 1):
+                child_split = split.pop(c, None)
+                if child_split is None:
+                    seg_nodes[-1] += nnodes_l[c]
+                    seg_elems[-1] += nelems_l[c]
+                else:
+                    child_nodes, child_elems = child_split
+                    seg_nodes[-1] += child_nodes[0]
+                    seg_elems[-1] += child_elems[0]
+                    seg_nodes.extend(child_nodes[1:])
+                    seg_elems.extend(child_elems[1:])
+                if k == KIND_NONTERMINAL:
+                    seg_nodes[-1] += callee_nodes[slot]
+                    seg_elems[-1] += callee_elems[slot]
+                c += span[c]
+            split[i] = (seg_nodes, seg_elems)
+
+    node_segs, elem_segs = split.get(0) or ([nnodes_l[0]], [nelems_l[0]])
+    if len(node_segs) != head.rank + 1:
+        raise GrammarError(
+            f"rule {head!r}: found {len(node_segs) - 1} parameters, "
+            f"rank is {head.rank}"
+        )
+    node_segments[head] = node_segs
+    elem_segments[head] = elem_segs
 
     pack = RulePack(head)
     pack.n = n
@@ -382,22 +405,20 @@ def _build_pack(index: "GrammarIndex", head: Symbol,
     pack.kind = array("l", kind_l)
     pack.sym = array("l", sym_l)
     pack.rank = array("l", rank_l)
-    pack.first = array("l", first_l)
     pack.nxt = array("l", nxt_l)
     pack.nnodes = array("l", nnodes_l)
     pack.nelems = array("l", nelems_l)
     pack.params = params
-    pack.node_objs = node_objs
+    pack.node_objs = order
     pack.sym_objs = sym_objs
     pack.sym_names = sym_names
-    pack.table = table
-    pack.node_segs = index._node_segments[head]
-    pack.elem_segs = index._elem_segments[head]
+    pack.node_segs = node_segs
+    pack.elem_segs = elem_segs
     pack.steps_enter = steps_enter
     pack.steps_target = steps_target
     pack.walk = (
         kind_l, sym_l, rank_l, nxt_l, nnodes_l, nelems_l, params,
-        node_objs, sym_objs, sym_names, steps_enter, steps_target, table,
+        order, sym_objs, sym_names, steps_enter, steps_target,
     )
     pack.walk_nodes = (
         kind_l, sym_l, rank_l, nxt_l, nnodes_l, params, sym_objs,
@@ -406,18 +427,53 @@ def _build_pack(index: "GrammarIndex", head: Symbol,
     return pack
 
 
+def _pack_bottom_up(kernel: "GrammarKernel", heads: List[Symbol]) -> None:
+    """Pack ``heads`` and every rule below them that lacks segments,
+    callees first, so each :meth:`GrammarKernel.pack` call finds all of
+    its callees' segments in place.  Iterative: a call DAG may be deeper
+    than the interpreter stack."""
+    segments = kernel._index._node_segments
+    grammar = kernel._index.grammar
+    pending = set()
+    stack = list(heads)
+    while stack:
+        current = stack[-1]
+        if current in segments:
+            stack.pop()
+            continue
+        pending.add(current)
+        callees = set()
+        walk = [grammar.rhs(current)]
+        while walk:
+            node = walk.pop()
+            symbol = node.symbol
+            if symbol.is_nonterminal and symbol not in segments:
+                if symbol in pending:
+                    raise GrammarError(
+                        f"grammar is recursive: cycle through {symbol!r}"
+                    )
+                callees.add(symbol)
+            walk.extend(node.children)
+        if callees:
+            stack.extend(callees)
+            continue
+        kernel.pack(current)
+        pending.discard(current)
+        stack.pop()
+
+
 class GrammarKernel:
     """The per-index pack cache (built lazily, evicted per rule).
 
     Owned by a :class:`~repro.grammar.index.GrammarIndex`; the index
-    forwards its observer events here, so packs ride exactly the same
-    invalidation channel as the object tables -- plus relabel eviction
-    (the object tables survive relabels because they reference live
-    nodes; a pack caches symbol ids/names and must not).
+    forwards its observer events here.  A rule's pack is its only
+    per-node table: structural edits evict it with the rule's segments
+    and dependents, relabels evict just the pack (sizes and segments
+    survive a relabel; cached symbol ids and names do not).
     """
 
     __slots__ = (
-        "_index", "_packs", "symbols", "min_doc_elements",
+        "_index", "_packs", "symbols",
         "builds", "evictions", "hits", "misses", "wholesale_invalidations",
         "_m_builds", "_m_evictions",
     )
@@ -425,13 +481,11 @@ class GrammarKernel:
     def __init__(
         self,
         index: "GrammarIndex",
-        min_doc_elements: int = DEFAULT_MIN_DOC_ELEMENTS,
         symbols: Optional[SymbolTable] = None,
     ) -> None:
         self._index = index
         self._packs: Dict[Symbol, RulePack] = {}
         self.symbols = symbols if symbols is not None else _GLOBAL_SYMBOLS
-        self.min_doc_elements = min_doc_elements
         self.builds = 0
         self.evictions = 0
         self.hits = 0
@@ -444,7 +498,7 @@ class GrammarKernel:
     # pack lifecycle
     # ------------------------------------------------------------------
     def pack(self, head: Symbol) -> RulePack:
-        """The rule's pack, building it (and its index tables) lazily.
+        """The rule's pack, building it (and its callees' first) lazily.
 
         ``hits``/``misses`` are counted here, i.e. at walk-entry and
         cold-build granularity: the walk inner loops probe ``_packs``
@@ -456,7 +510,7 @@ class GrammarKernel:
             self.hits += 1
             return existing
         self.misses += 1
-        built = _build_pack(self._index, head, self.symbols)
+        built = _build_pack(self, head)
         self._packs[head] = built
         self.builds += 1
         if self._m_builds is not None:
@@ -514,26 +568,25 @@ class GrammarKernel:
             "hits": self.hits,
             "misses": self.misses,
             "wholesale_invalidations": self.wholesale_invalidations,
-            "min_doc_elements": self.min_doc_elements,
         }
 
 
 # ----------------------------------------------------------------------
 # kernel walks
 # ----------------------------------------------------------------------
-# Binding environments during kernel descents are tuples of 7-tuples
-#   (node, outer_env, outer_table, nodes, elems, outer_pack, pos)
-# -- a strict superset of the object path's 5-tuple _Binding: slots 0..4
-# keep every downstream consumer (``GrammarIndex._sizes``, the extent
-# and axis helpers, the ``_locations`` memo) working unchanged on either
-# path's results, slots 5..6 are what the flat walk itself descends on.
+# Binding environments of the element descents are tuples of 5-tuples
+#   (outer_pack, pos, outer_env, nodes, elems)
+# -- the argument's position in the applying rule's pack, the
+# environment to resolve it in, and its generated sizes.  Downstream
+# consumers (the ``GrammarIndex`` extent and axis helpers, the
+# ``_locations`` memo) read the sizes from slots 3..4.
 #
 # Every walk below keeps the current pack's columns in locals via one
 # ``pack.walk`` unpack per pack switch, probes the pack cache with an
 # inlined ``kernel._packs.get`` (falling back to ``kernel.pack`` on a
 # miss), and appends the pack's *shared* per-position PathStep objects
 # instead of allocating steps -- the three constant-factor levers the
-# bench gates are built on.
+# walks are built on.
 
 
 def kernel_locate_element(
@@ -542,12 +595,17 @@ def kernel_locate_element(
     element_index: int,
     track_axes: bool,
 ):
-    """Flat-array twin of ``GrammarIndex._locate_element`` (same result
-    tuple, same shortcut/axis semantics); bounds are pre-checked."""
+    """Descend the derivation to the ``element_index``-th element.
+
+    Returns ``(binary preorder index, pack, position of the generating
+    terminal in it, binding environment, derivation path, parent element
+    index, document depth)``; see ``GrammarIndex._locate_element`` for
+    the shortcut/axis semantics.  Bounds are pre-checked.
+    """
     packs = kernel._packs
     pack = kernel.pack(index.grammar.start)
-    (kind, sym, rank, nxt, nnodes, nelems, params, node_objs, sym_objs,
-     _names, steps_enter, steps_target, table) = pack.walk
+    (kind, sym, rank, nxt, nnodes, nelems, params, _objs, sym_objs,
+     _names, steps_enter, steps_target) = pack.walk
     pos = 0
     env: Tuple = ()
     remaining = element_index
@@ -562,7 +620,7 @@ def kernel_locate_element(
             if k == 1:
                 if remaining == 0:
                     steps.append(steps_target[pos])
-                    return (position, node_objs[pos], env, table, steps,
+                    return (position, pack, pos, env, steps,
                             parent, depth)
                 remaining -= 1
                 position += 1
@@ -616,15 +674,20 @@ def kernel_locate_element(
 
         if k == 3:  # parameter: hop to the bound argument
             b = env[sym[pos] - 1]
-            pack = b[5]
-            pos = b[6]
-            env = b[1]
-            (kind, sym, rank, nxt, nnodes, nelems, params, node_objs,
-             sym_objs, _names, steps_enter, steps_target, table) = pack.walk
+            pack = b[0]
+            pos = b[1]
+            env = b[2]
+            (kind, sym, rank, nxt, nnodes, nelems, params, _objs,
+             sym_objs, _names, steps_enter, steps_target) = pack.walk
             continue
 
         # Nonterminal application (virtual preorder: seg0, arg1, seg1,
-        # ..., argk, segk -- see the object twin for the full story).
+        # ..., argk, segk).  An argument target is descended into
+        # directly; a body-segment target enters the rule with both
+        # counters unchanged -- walking the body under the bindings
+        # reproduces exactly the interleaved sequence.  Axis tracking
+        # always enters: the skipped rule-body path may contain the
+        # target's binary ancestors (in particular its document parent).
         sobj = sym_objs[pos]
         callee = packs.get(sobj)
         if callee is None:
@@ -673,12 +736,9 @@ def kernel_locate_element(
                     cn += b[3]
                     ce += b[4]
             if r == 1:
-                env = ((node_objs[child], outer_env, table, cn, ce,
-                        pack, child),)
+                env = ((pack, child, outer_env, cn, ce),)
             else:
-                bindings = [
-                    (node_objs[child], outer_env, table, cn, ce, pack, child)
-                ]
+                bindings = [(pack, child, outer_env, cn, ce)]
                 for _ in range(r - 1):
                     child = nxt[child]
                     ce = nelems[child]
@@ -689,17 +749,14 @@ def kernel_locate_element(
                             b = outer_env[p - 1]
                             cn += b[3]
                             ce += b[4]
-                    bindings.append(
-                        (node_objs[child], outer_env, table, cn, ce,
-                         pack, child)
-                    )
+                    bindings.append((pack, child, outer_env, cn, ce))
                 env = tuple(bindings)
         else:
             env = ()
         pack = callee
         pos = 0
-        (kind, sym, rank, nxt, nnodes, nelems, params, node_objs,
-         sym_objs, _names, steps_enter, steps_target, table) = pack.walk
+        (kind, sym, rank, nxt, nnodes, nelems, params, _objs,
+         sym_objs, _names, steps_enter, steps_target) = pack.walk
 
 
 def kernel_resolve_preorder(
@@ -707,14 +764,15 @@ def kernel_resolve_preorder(
     kernel: GrammarKernel,
     target: int,
 ) -> List[PathStep]:
-    """Flat-array twin of ``GrammarIndex.resolve_preorder`` (node-count
-    descent; bounds pre-checked by the caller).
+    """Derivation path to the node at binary preorder ``target`` (the
+    node-count descent behind ``GrammarIndex.resolve_preorder``; bounds
+    pre-checked by the caller).
 
     The hottest kernel loop, so it walks the trimmed ``walk_nodes``
     columns and -- since its environments never escape (only ``steps``
     are returned) -- uses private 4-tuple bindings
-    ``(nodes, outer_env, outer_pack, pos)`` instead of the 7-tuple
-    binding format the element descents share with the object path.
+    ``(nodes, outer_env, outer_pack, pos)`` instead of the 5-tuple
+    binding format of the element descents.
     Child scans lean on the walk invariant (``remaining`` is always
     smaller than the current subtree's node count: checked at the root,
     preserved by every descent): a target that fell through the first
@@ -847,15 +905,17 @@ def kernel_iter_element_symbols(
     start: int,
     stop: int,
 ) -> Iterator[Symbol]:
-    """Flat-array twin of ``GrammarIndex._iter_element_symbols``."""
+    """Element symbols ``start..stop-1`` in document order (the windowed
+    walk behind ``GrammarIndex.iter_element_symbols``): any subtree
+    generating only elements before ``start`` is skipped in O(1)."""
     if start >= stop:
         return
     to_skip = start
     to_yield = stop - start
     packs = kernel._packs
     root = kernel.pack(index.grammar.start)
-    # Stack items: (pack, pos, env); env entries are the 7-tuple
-    # bindings.  Consecutive items overwhelmingly share a pack (children
+    # Stack items: (pack, pos, env); env entries are
+    # (outer_pack, pos, outer_env, elems) -- no node counts are needed.  Consecutive items overwhelmingly share a pack (children
     # are pushed together), so the unpacked columns are cached across
     # iterations and refreshed only when the popped pack changes.
     stack = [(root, 0, ())]
@@ -864,19 +924,18 @@ def kernel_iter_element_symbols(
         pack, pos, env = stack.pop()
         if pack is not cur:
             cur = pack
-            (kind, sym, rank, nxt, nnodes, nelems, params, node_objs,
-             sym_objs, _names, _enter, _target, table) = pack.walk
+            (kind, sym, rank, nxt, _nn, nelems, params, _objs,
+             sym_objs, _names, _enter, _target) = pack.walk
         k = kind[pos]
         if k == 3:
-            b = env[sym[pos] - 1]
-            stack.append((b[5], b[6], b[1]))
+            stack.append(env[sym[pos] - 1][:3])
             continue
         if to_skip:
             elems = nelems[pos]
             pp = params[pos]
             if pp:
                 for p in pp:
-                    elems += env[p - 1][4]
+                    elems += env[p - 1][3]
             if elems <= to_skip:
                 to_skip -= elems
                 continue  # window starts after this whole subtree
@@ -915,18 +974,12 @@ def kernel_iter_element_symbols(
                 bindings = []
                 child = pos + 1
                 for _ in range(r):
-                    cn = nnodes[child]
                     ce = nelems[child]
                     pp = params[child]
                     if pp:
                         for p in pp:
-                            b = outer_env[p - 1]
-                            cn += b[3]
-                            ce += b[4]
-                    bindings.append(
-                        (node_objs[child], outer_env, table, cn, ce,
-                         pack, child)
-                    )
+                            ce += outer_env[p - 1][3]
+                    bindings.append((pack, child, outer_env, ce))
                     child = nxt[child]
                 inner_env: Tuple = tuple(bindings)
             else:
@@ -948,7 +1001,7 @@ def kernel_stream_preorder(kernel: GrammarKernel) -> Iterator[Symbol]:
         if pack is not cur:
             cur = pack
             (kind, sym, rank, nxt, _nn, _ne, _pp, _no, sym_objs,
-             _names, _enter, _target, _table) = pack.walk
+             _names, _enter, _target) = pack.walk
         k = kind[pos]
         if k == 3:
             stack.append(env[sym[pos] - 1])
@@ -1003,7 +1056,7 @@ def kernel_stream_elements(
         if pack is not cur:
             cur = pack
             (kind, sym, rank, nxt, _nn, _ne, _pp, _no, sym_objs,
-             sym_names, _enter, _target, _table) = pack.walk
+             sym_names, _enter, _target) = pack.walk
         k = kind[pos]
         if k == 3:
             b = env[sym[pos] - 1]

@@ -183,7 +183,7 @@ class Grammar:
     __slots__ = (
         "alphabet", "start", "rules", "_observers",
         "epoch", "_pins", "_overlays", "_pin_times", "_version_lock",
-        "_reader_pins", "_reader_pins_at",
+        "_reader_pins_at",
     )
 
     def __init__(self, alphabet: Alphabet, start: Symbol) -> None:
@@ -204,14 +204,10 @@ class Grammar:
         self._overlays: Dict[int, Dict[Symbol, object]] = {}
         self._pin_times: Dict[int, float] = {}
         #: Pins held by reader snapshots (vs transaction-rollback pins),
-        #: total and per epoch.  Resolution caches may be consulted only
-        #: when no reader pins exist: a reader pin makes the resolution
-        #: descent's ``rhs()`` reads load-bearing as copy-on-write
-        #: preservation points.  Conversely, an overlay whose epoch has
-        #: *only* rollback pins skips read-triggered preservation
-        #: entirely -- the batch machinery preserves at its write points
-        #: -- so the happy path of a transaction copies nothing.
-        self._reader_pins = 0
+        #: per epoch.  An overlay whose epoch has *only* rollback pins
+        #: skips read-triggered preservation entirely -- the batch
+        #: machinery preserves at its write points -- so the happy path
+        #: of a transaction copies nothing.
         self._reader_pins_at: Dict[int, int] = {}
         self._version_lock = threading.RLock()
 
@@ -332,8 +328,8 @@ class Grammar:
         Call only between operations (the document layer holds its
         write lock around this, so no mutation is mid-flight).
         ``rollback`` marks a transaction-rollback pin: it fills the same
-        overlay, but does not count as a *reader* -- resolution caches
-        stay consultable, because every mutation path of a batch
+        overlay, but does not count as a *reader* -- reads skip
+        preserving into it, because every mutation path of a batch
         preserves the rules it rewrites on its own (``isolate_many``
         reads each walked spine rule, ``inline_at`` each callee,
         ``set_rule``/``remove_rule`` preserve directly).
@@ -343,7 +339,6 @@ class Grammar:
             count = self._pins.get(epoch, 0)
             self._pins[epoch] = count + 1
             if not rollback:
-                self._reader_pins += 1
                 self._reader_pins_at[epoch] = \
                     self._reader_pins_at.get(epoch, 0) + 1
             if count == 0:
@@ -358,7 +353,6 @@ class Grammar:
             if count is None:
                 raise GrammarError(f"epoch {epoch} is not pinned")
             if not rollback:
-                self._reader_pins -= 1
                 remaining = self._reader_pins_at.get(epoch, 0) - 1
                 if remaining <= 0:
                     self._reader_pins_at.pop(epoch, None)

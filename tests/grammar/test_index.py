@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.api import CompressedXml
+from repro.datasets.synthetic import CORPORA, make_corpus
+from repro.grammar.derivation import expand
 from repro.grammar.index import GrammarIndex
 from repro.grammar.navigation import resolve_preorder_path, stream_preorder
 from repro.grammar.properties import parameter_segments
@@ -57,6 +59,37 @@ def naive_end_of_children(grammar, element_index):
     return position
 
 
+def expanded_segments(grammar, head):
+    """(node, element) segments of ``valG(head)``, split at its
+    parameters, counted on the expanded tree itself."""
+    nodes, elems = [0], [0]
+    walk = [expand(grammar, head)]
+    while walk:
+        node = walk.pop()
+        symbol = node.symbol
+        if symbol.is_parameter:
+            nodes.append(0)
+            elems.append(0)
+            continue
+        nodes[-1] += 1
+        if not symbol.is_bottom:
+            elems[-1] += 1
+        walk.extend(reversed(node.children))
+    return nodes, elems
+
+
+def assert_segments_match_oracles(grammar):
+    """Every rule's packed segments equal ``parameter_segments`` (nodes)
+    and a count over the rule's expansion (nodes and elements)."""
+    index = GrammarIndex(grammar)
+    expected = parameter_segments(grammar)
+    view = index.segments()
+    for head in grammar.rules:
+        assert view[head] == expected[head], head
+        assert (view[head], index.element_segments(head)) == \
+            expanded_segments(grammar, head), head
+
+
 def assert_index_matches_stream(doc):
     """Every index answer equals the naive streamed recomputation."""
     grammar = doc.grammar
@@ -98,11 +131,37 @@ class TestStaticQueries:
             index.preorder_of_element(-1)
 
     def test_segments_view_matches_parameter_segments(self, figure1_grammar):
-        index = GrammarIndex(figure1_grammar)
-        expected = parameter_segments(figure1_grammar)
-        view = index.segments()
-        for head in figure1_grammar.rules:
-            assert view[head] == expected[head]
+        assert_segments_match_oracles(figure1_grammar)
+
+    @given(slcf_grammars())
+    @settings(max_examples=40, deadline=None)
+    def test_segments_of_random_grammars(self, grammar):
+        assert_segments_match_oracles(grammar)
+
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_segments_of_every_corpus_rule(self, corpus):
+        doc = CompressedXml.from_document(make_corpus(corpus, edges=2000))
+        assert len(doc.grammar.rules) > 1
+        assert_segments_match_oracles(doc.grammar)
+
+    def test_rule_chain_deeper_than_the_interpreter_stack(self):
+        # S -> A2000, Ai -> a(A(i-1), ⊥), A0 -> a(⊥, ⊥): packing the
+        # start rule packs every rule below it, callees first.
+        alphabet = Alphabet()
+        a = alphabet.terminal("a", 2)
+        heads = [alphabet.nonterminal(f"A{i}", 0) for i in range(2001)]
+        grammar = Grammar(alphabet, alphabet.nonterminal("S", 0))
+        grammar.set_rule(heads[0], parse_term("a(#,#)", alphabet))
+        for previous, head in zip(heads, heads[1:]):
+            grammar.set_rule(head, parse_term(
+                f"a({previous.name},#)", alphabet, frozenset({previous.name})
+            ))
+        grammar.set_rule(grammar.start, parse_term(
+            "A2000", alphabet, frozenset({"A2000"})))
+        index = GrammarIndex(grammar)
+        assert index.element_count == 2001
+        assert index.depth_of(2000) == 2000
+        assert index.kernel.rules_packed == len(grammar.rules)
 
     @given(slcf_grammars())
     @settings(max_examples=40, deadline=None)
