@@ -7,10 +7,11 @@ Quantifies the PR-9 tentpole from two sides:
    handles, so instrumented code never branches on an enabled flag.
    This benchmark drives the *identical* mixed update stream through a
    document bound to a live :class:`~repro.obs.metrics.MetricsRegistry`
-   and one bound to ``NULL_REGISTRY``, interleaving repeats (A B A B
-   ...), taking per-op minima across repeats, and gating on the
-   **median per-op** relative slowdown (see :func:`measure_overhead`
-   for why that estimator and not a totals ratio).  The gate:
+   and one bound to ``NULL_REGISTRY``, both live at once, applying op
+   *i* to each back to back (alternating which goes first), and gating
+   on the **median paired per-op** relative slowdown (see
+   :func:`measure_overhead` for why that estimator and not a totals
+   ratio).  The gate:
    enabled-vs-disabled overhead on the update path stays within
    ``MAX_OVERHEAD_PCT`` (5%).
 
@@ -103,56 +104,65 @@ def apply_op(doc, op):
         doc.delete(1 + int(fraction * (count - 1)))
 
 
-def run_update_pass(edges, ops, registry):
-    """One timed pass of the update stream on a fresh document."""
-    doc = make_doc(edges, registry)
-    gc.collect()  # heap noise stays outside the timed region
-    samples = []
+def timed_op(doc, op):
     started = time.perf_counter()
-    for op in ops:
-        op_started = time.perf_counter()
-        apply_op(doc, op)
-        samples.append(time.perf_counter() - op_started)
-    return time.perf_counter() - started, samples
+    apply_op(doc, op)
+    return time.perf_counter() - started
+
+
+def run_paired_pass(edges, ops):
+    """One pass of the update stream over an enabled and a disabled
+    document held live together: op *i* runs on both back to back,
+    alternating which variant goes first."""
+    enabled = make_doc(edges, MetricsRegistry())
+    disabled = make_doc(edges, NULL_REGISTRY)
+    gc.collect()  # heap noise stays outside the timed region
+    enabled_samples, disabled_samples = [], []
+    for i, op in enumerate(ops):
+        if i % 2:
+            disabled_samples.append(timed_op(disabled, op))
+            enabled_samples.append(timed_op(enabled, op))
+        else:
+            enabled_samples.append(timed_op(enabled, op))
+            disabled_samples.append(timed_op(disabled, op))
+    return enabled_samples, disabled_samples
 
 
 def measure_overhead(edges, updates, repeats):
-    """Interleaved repeats, gated on the *median per-op* overhead.
+    """Paired repeats, gated on the *median paired per-op* overhead.
 
     The two variants replay the identical op stream, so op *i* does the
-    same logical work in every pass; ``min`` over repeats strips the GC
-    and scheduler spikes a single pass folds in.  The gated number is
-    the median over ops of the relative per-op slowdown: every op pays
-    the same handful of ``perf_counter`` calls and handle dispatches,
-    so the median is the instrumentation cost -- whereas a totals ratio
-    is decided by the intrinsic run-to-run variance of the few huge
-    auto-recompression ops (150ms+ each, ~1% jitter even on minima),
-    which would swamp a microsecond-scale effect.  The totals ratio is
+    same logical work on both documents.  Timing the pair back to back
+    puts both halves under the same CPU speed, which on a shared host
+    swings by more than the effect measured when the variants run
+    seconds apart.  The gated number is the median, over every pair of
+    every repeat, of the relative per-op slowdown: every op pays the
+    same handful of ``perf_counter`` calls and handle dispatches, so the
+    median is the instrumentation cost -- whereas a totals ratio is
+    decided by the intrinsic run-to-run variance of the few huge
+    auto-recompression ops (150ms+ each), which would swamp a
+    microsecond-scale effect.  The totals ratio over per-op minima is
     still reported, unembellished, as ``total_overhead_pct``.
     """
     ops = make_ops(updates)
-    enabled_runs, disabled_runs = [], []
     enabled_all, disabled_all = [], []
+    relative = []
     for _ in range(repeats):
-        total, samples = run_update_pass(edges, ops, MetricsRegistry())
-        enabled_runs.append(total)
-        enabled_all.append(samples)
-        total, samples = run_update_pass(edges, ops, NULL_REGISTRY)
-        disabled_runs.append(total)
-        disabled_all.append(samples)
+        enabled, disabled = run_paired_pass(edges, ops)
+        enabled_all.append(enabled)
+        disabled_all.append(disabled)
+        relative.extend((e - d) / d for e, d in zip(enabled, disabled))
+    relative.sort()
     enabled_best_ops = [min(per_op) for per_op in zip(*enabled_all)]
     disabled_best_ops = [min(per_op) for per_op in zip(*disabled_all)]
     best_enabled = sum(enabled_best_ops)
     best_disabled = sum(disabled_best_ops)
-    relative = sorted(
-        (e - d) / d
-        for e, d in zip(enabled_best_ops, disabled_best_ops)
-    )
     median_pct = 100.0 * relative[len(relative) // 2]
     total_pct = 100.0 * (best_enabled - best_disabled) / best_disabled
     return {
-        "enabled_runs_s": [round(t, 4) for t in enabled_runs],
-        "disabled_runs_s": [round(t, 4) for t in disabled_runs],
+        "pairs": len(relative),
+        "enabled_runs_s": [round(sum(run), 4) for run in enabled_all],
+        "disabled_runs_s": [round(sum(run), 4) for run in disabled_all],
         "best_enabled_s": round(best_enabled, 4),
         "best_disabled_s": round(best_disabled, 4),
         "overhead_pct": round(median_pct, 3),
@@ -207,14 +217,15 @@ def run_coverage(edges):
 
 def run(edges, updates, repeats, smoke=False):
     print(f"workload: EXI-Weblog {edges} edges, {updates} mixed updates, "
-          f"{repeats} interleaved repeats per variant")
+          f"{repeats} paired repeats")
     overhead = measure_overhead(edges, updates, repeats)
-    print(f"  enabled  : min {overhead['best_enabled_s']:.3f}s of "
-          f"{overhead['enabled_runs_s']}")
-    print(f"  disabled : min {overhead['best_disabled_s']:.3f}s of "
-          f"{overhead['disabled_runs_s']}")
-    print(f"  overhead : {overhead['overhead_pct']:+.2f}% median "
-          f"per-op ({overhead['total_overhead_pct']:+.2f}% on totals; "
+    print(f"  enabled  : {overhead['best_enabled_s']:.3f}s summed per-op "
+          f"minima; runs {overhead['enabled_runs_s']}")
+    print(f"  disabled : {overhead['best_disabled_s']:.3f}s summed per-op "
+          f"minima; runs {overhead['disabled_runs_s']}")
+    print(f"  overhead : {overhead['overhead_pct']:+.2f}% median over "
+          f"{overhead['pairs']} paired ops "
+          f"({overhead['total_overhead_pct']:+.2f}% on totals; "
           f"gate <= {MAX_OVERHEAD_PCT}%)")
 
     coverage = run_coverage(edges)
@@ -251,9 +262,9 @@ def check_schema(report):
     """The machine-readable contract future PRs regress against."""
     for section in ("workload", "overhead", "coverage", "gates"):
         assert section in report, f"missing section {section!r}"
-    for key in ("enabled_runs_s", "disabled_runs_s", "best_enabled_s",
-                "best_disabled_s", "overhead_pct", "total_overhead_pct",
-                "enabled_latency", "disabled_latency"):
+    for key in ("pairs", "enabled_runs_s", "disabled_runs_s",
+                "best_enabled_s", "best_disabled_s", "overhead_pct",
+                "total_overhead_pct", "enabled_latency", "disabled_latency"):
         assert key in report["overhead"], f"missing overhead {key!r}"
     for variant in ("enabled_latency", "disabled_latency"):
         for key in ("count", "p50_ms", "p95_ms", "p99_ms"):
@@ -278,7 +289,7 @@ def check_coverage(report):
 
 def check_overhead(report):
     """The 5% gate on enabled-vs-disabled update-path overhead
-    (median per-op; see :func:`measure_overhead` for why)."""
+    (median paired per-op; see :func:`measure_overhead` for why)."""
     overhead = report["overhead"]["overhead_pct"]
     assert overhead <= MAX_OVERHEAD_PCT, (
         f"metrics instrumentation costs {overhead:+.2f}% per op on the "

@@ -27,21 +27,19 @@ that updates never scale with the size of the generated document.  The
 index invalidates itself per-rule through the grammar's observer channel
 (updates dirty essentially just the start rule).
 
-Recompression is *dirty-rule-scoped* by default: a second observer
-records the rules mutated since the last recompression, and
+Recompression is *dirty-rule-scoped*: a second observer records the
+rules mutated since the last recompression, and
 :meth:`CompressedXml.recompress` seeds GrammarRePair's occurrence census
 with only those rules plus their digram frontier (see
-:mod:`repro.core.occurrence_index`).  The automatic policy falls back to
-a full -- still incrementally maintained -- census when the dirty mass
-dominates the grammar, where a scoped census would miss cross-rule
-digram weights and erode the compression ratio.  Because only touched
-rules are rewritten, the GrammarIndex keeps its cached count tables for
-the untouched bulk of the grammar -- no ``invalidate_all`` on either
-incremental path; the per-rule observer evictions that fire during
-compression are the entire invalidation story.  Construct with
-``incremental_recompress=False`` for the historical behavior (full
-per-round rescans + wholesale index reset), kept as the benchmark
-baseline.
+:mod:`repro.core.occurrence_index`).  The first run on a never-compressed
+grammar, and the automatic policy when the dirty mass dominates the
+grammar (where a scoped census would miss cross-rule digram weights and
+erode the compression ratio), use a full census instead -- still one
+census per run, with touched-rules-only upkeep per round.  Because only
+touched rules are rewritten, the GrammarIndex keeps its cached count
+tables for the untouched bulk of the grammar -- recompression never
+calls ``invalidate_all``; the per-rule observer evictions that fire
+during compression are the entire invalidation story.
 
 Example::
 
@@ -190,7 +188,6 @@ class CompressedXml:
         grammar: Grammar,
         kin: int = 4,
         auto_recompress_factor: Optional[float] = None,
-        incremental_recompress: bool = True,
         shard_width: Optional[int] = None,
         shard_merge_hysteresis: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -208,7 +205,6 @@ class CompressedXml:
         self._label_index: Optional[LabelIndex] = None
         self._kin = kin
         self._auto_factor = auto_recompress_factor
-        self._incremental = incremental_recompress
         # Rules mutated since the last recompression; recompress() scopes
         # its census to exactly this set (plus the digram frontier).
         self._dirty = RuleTouchRecorder()
@@ -246,10 +242,6 @@ class CompressedXml:
         self.rules_inlined_total = 0
         self.recompress_runs = 0
         self.recompress_seconds = 0.0
-        # Occurrence-maintenance share of recompress_seconds (census,
-        # digram selection, per-round count upkeep) -- see
-        # GrammarRePairStats.maintenance_seconds.
-        self.maintenance_seconds = 0.0
         # Accumulated instrumentation over all recompressions: rules fully
         # censused (O(|rule|) resolution scans) vs rules brought up to
         # date below census cost (event adaptation / crossing rescans).
@@ -416,7 +408,7 @@ class CompressedXml:
         single rule, and the label index adopts the censuses without
         re-censusing -- a reload answers counting, addressing, and label
         queries immediately.  ``kwargs`` may carry runtime policy
-        (``auto_recompress_factor``, ``incremental_recompress``); the
+        (``auto_recompress_factor``, ``metrics``); the
         persisted facts (``kin``, shard width) come from the state.
         """
         for fixed in ("kin", "shard_width"):
@@ -1008,7 +1000,7 @@ class CompressedXml:
             # serializes all applies, which is barrier enough.
             self._recompress_locked(self._scoped_census_unprofitable())
 
-    def _scoped_census_unprofitable(self) -> Optional[bool]:
+    def _scoped_census_unprofitable(self) -> bool:
         """Auto-recompress policy: scope the census to the dirty rules
         only while they are a small slice of the grammar.
 
@@ -1018,8 +1010,8 @@ class CompressedXml:
         degrade the compression ratio.  A full (but still incrementally
         maintained) census costs one extra pass and keeps parity.
         """
-        if not (self._incremental and self._baselined):
-            return None  # recompress() applies its own first-run rule
+        if not self._baselined:
+            return True  # never compressed: nothing to scope against
         from repro.trees.node import edge_count
 
         grammar = self._grammar
@@ -1028,24 +1020,21 @@ class CompressedXml:
             for head in self._dirty.changed
             if grammar.has_rule(head)
         )
-        return dirty_edges * 4 > self._size.total or None
+        return dirty_edges * 4 > self._size.total
 
     # ------------------------------------------------------------------
     # maintenance and output
     # ------------------------------------------------------------------
-    def recompress(self, full: Optional[bool] = None) -> int:
+    def recompress(self) -> int:
         """Run GrammarRePair in place; returns the new grammar size.
 
-        By default the run is *dirty-rule-scoped*: the occurrence census
-        is seeded with only the rules mutated since the last
-        recompression (plus their digram frontier), and the structural
-        index keeps its cached tables for every untouched rule -- the
-        per-rule evictions fired through the observer channel while rules
-        were rewritten are the only invalidation.  Pass ``full=True`` to
-        force a whole-grammar census (the first run on a grammar that was
-        never compressed does this automatically, as does a document
-        constructed with ``incremental_recompress=False``, which also
-        restores the historical wholesale index reset).
+        The run is *dirty-rule-scoped*: the occurrence census is seeded
+        with only the rules mutated since the last recompression (plus
+        their digram frontier), and the structural index keeps its
+        cached tables for every untouched rule -- the per-rule evictions
+        fired through the observer channel while rules were rewritten
+        are the only invalidation.  The first run on a grammar that was
+        never compressed censuses the whole grammar instead.
 
         An explicit recompression is a whole-document barrier: it takes
         the shard spine gate exclusively, draining in-flight
@@ -1055,39 +1044,30 @@ class CompressedXml:
         with trace_span("recompress"):
             with self._shard_locks.spine.exclusive():
                 with self._lock:
-                    return self._recompress_locked(full)
+                    return self._recompress_locked(not self._baselined)
 
-    def _recompress_locked(self, full: Optional[bool]) -> int:
+    def _recompress_locked(self, full: bool) -> int:
+        """Recompress under the held locks: a whole-grammar census when
+        ``full``, else one scoped to the rules dirtied since the last
+        run."""
         started = time.perf_counter()
         # GrammarRePair's warm occurrence lists may rewrite a body this
         # run never re-read, which would defeat the read-triggered
         # copy-on-write preservation -- so with snapshots pinned, every
         # pristine body is preserved up front.
         self._grammar.preserve_all()
-        if full is None:
-            full = not (self._incremental and self._baselined)
         compressor = GrammarRePair(
-            kin=self._kin, incremental=self._incremental,
+            kin=self._kin,
             barriers=(self._shards.heads
                       if self._shards is not None else None),
         )
-        if full or not self._incremental:
-            self._grammar = compressor.compress(self._grammar, in_place=True)
-            if not self._incremental:
-                # The historical contract: a full recompression rewrites
-                # essentially every rule, so a wholesale reset beats
-                # replaying thousands of per-rule invalidations.
-                self._index.invalidate_all()
-                if self._label_index is not None:
-                    self._label_index.invalidate_all()
-            # Incremental mode relies on the per-rule observer evictions
-            # that fired while rules were rewritten, full census or not.
-        else:
-            dirty = set(self._dirty.changed)
-            self._grammar = compressor.compress(
-                self._grammar, in_place=True, dirty_rules=dirty
-            )
-            # No invalidate_all: untouched rules keep their cached tables.
+        # No invalidate_all, full census or not: the per-rule observer
+        # evictions fired while rules were rewritten are the entire
+        # invalidation, and untouched rules keep their cached tables.
+        self._grammar = compressor.compress(
+            self._grammar, in_place=True,
+            dirty_rules=None if full else set(self._dirty.changed),
+        )
         self.last_repair_stats = compressor.stats
         self._dirty.clear()
         self._baselined = True
@@ -1101,7 +1081,6 @@ class CompressedXml:
         stage["rounds"].observe(compressor.stats.rounds_seconds)
         stage["prune"].observe(compressor.stats.prune_seconds)
         self._m_recompress_total.inc()
-        self.maintenance_seconds += compressor.stats.maintenance_seconds
         self.rules_censused_total += compressor.stats.rules_censused
         self.rules_adapted_total += (
             compressor.stats.rules_adapted

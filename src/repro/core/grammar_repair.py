@@ -17,18 +17,18 @@ recompressor (Section V-C).
 
 Occurrence maintenance
 ----------------------
-By default (``incremental=True``) step 3 does **not** rerun the full
-census: a :class:`~repro.core.occurrence_index.GrammarOccurrenceIndex` is
-built with exactly one full-grammar pass and then, after every
-replacement, re-censuses only the rules the round touched (reported
-through the grammar's observer channel) plus the rules whose occurrence
-resolutions pass through them -- a round costs O(|touched rules|) instead
-of O(|G|).  ``compress(dirty_rules=...)`` narrows even the initial census
-to a set of dirty rules plus their digram frontier, which is what
+Step 3 does **not** rerun the full census: a
+:class:`~repro.core.occurrence_index.GrammarOccurrenceIndex` is built with
+at most one full-grammar pass and then, after every replacement,
+re-censuses only the rules the round touched (reported through the
+grammar's observer channel) plus the rules whose occurrence resolutions
+pass through them -- a round costs O(|touched rules|) instead of O(|G|).
+``compress(dirty_rules=...)`` narrows even the initial census to a set of
+dirty rules plus their digram frontier, which is what
 :meth:`repro.api.CompressedXml.recompress` uses to recompress only the
-part of the grammar mutated since its last run.  ``incremental=False``
-keeps the historical per-round full-rescan loop as a reference (and as
-the benchmark baseline).
+part of the grammar mutated since its last run.  A from-scratch
+RETRIEVEOCCS census (:func:`repro.core.retrieve.retrieve_occurrences`)
+remains the reference the tests check the maintained counts against.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from typing import Callable, Iterable, List, Optional, Set
 from repro.core.occurrence_index import GrammarOccurrenceIndex
 from repro.core.replace_optimized import replace_all_occurrences_optimized
 from repro.core.replace_simple import replace_all_occurrences_simple
-from repro.core.retrieve import retrieve_occurrences
-from repro.grammar.properties import collect_garbage
 from repro.grammar.slcf import Grammar
 from repro.repair.digram import Digram, digram_pattern
 from repro.repair.pruning import prune_grammar
@@ -60,12 +58,11 @@ class GrammarRePairError(RuntimeError):
 class GrammarRePairStats:
     """Trace of one recompression run (drives Figures 2 and 3).
 
-    ``full_censuses`` counts full-grammar occurrence censuses;
-    ``census_trace[i]`` is the number of rules censused by round ``i``
-    (entry 0 is the initial build) and ``rule_count_trace[i]`` the number
-    of grammar rules at that moment.  The incremental path performs
-    exactly one full census per run; the rescan path one per round.
-    ``seed_rule_count`` is set when the census was dirty-rule-scoped.
+    ``full_censuses`` counts full-grammar occurrence censuses (one per
+    unscoped run, none when the census was dirty-rule-scoped, in which
+    case ``seed_rule_count`` is set); ``census_trace[i]`` is the number
+    of rules censused by round ``i`` (entry 0 is the initial build) and
+    ``rule_count_trace[i]`` the number of grammar rules at that moment.
     """
 
     rounds: int = 0
@@ -86,15 +83,11 @@ class GrammarRePairStats:
     rules_adapted: int = 0
     rules_partially_rescanned: int = 0
     seed_rule_count: Optional[int] = None
-    #: Wall time spent maintaining occurrence counts: census/build, digram
-    #: selection and per-round count upkeep (incl. garbage detection) --
-    #: the component this PR's occurrence index replaces.  Replacement and
-    #: pruning time is excluded (identical machinery on both paths).
-    maintenance_seconds: float = 0.0
-    #: Stage wall times of the run: the occurrence census (the one full
-    #: build in incremental mode, every RETRIEVEOCCS pass in rescan
-    #: mode), the replacement rounds (everything between census and
-    #: prune), and the pruning phase.
+    #: Stage wall times of the run: the occurrence census (the initial
+    #: build plus every round's digram selection and count upkeep,
+    #: garbage detection included), the replacement rounds (the rest of
+    #: the loop: rule creation and occurrence replacement), and the
+    #: pruning phase.
     census_seconds: float = 0.0
     rounds_seconds: float = 0.0
     prune_seconds: float = 0.0
@@ -122,7 +115,6 @@ class GrammarRePairStats:
             "rules_adapted": self.rules_adapted,
             "rules_partially_rescanned": self.rules_partially_rescanned,
             "seed_rule_count": self.seed_rule_count or 0,
-            "maintenance_seconds": self.maintenance_seconds,
             "census_seconds": self.census_seconds,
             "rounds_seconds": self.rounds_seconds,
             "prune_seconds": self.prune_seconds,
@@ -143,15 +135,10 @@ class GrammarRePair:
         instead of plain DependencyDAG inlining (Algorithm 5).  The
         non-optimized variant is exponentially worse on some inputs
         (Figure 3) but useful as a reference.
-    incremental:
-        Maintain occurrence counts incrementally across rounds with a
-        :class:`~repro.core.occurrence_index.GrammarOccurrenceIndex`
-        (one full census per run) instead of re-running RETRIEVEOCCS
-        every round (the historical behavior, kept as the baseline).
     rule_prefix / export_prefix:
         Name prefixes for digram rules and exported fragment rules.
     round_hook:
-        Test/diagnostics callback invoked after every incremental round
+        Test/diagnostics callback invoked after every replacement round
         with ``(grammar, occurrence_index, opaque)``.
     barriers:
         Spine shard heads (see :class:`repro.grammar.sharding.ShardManager`).
@@ -166,7 +153,6 @@ class GrammarRePair:
         kin: int = DEFAULT_KIN,
         prune: bool = True,
         optimized: bool = True,
-        incremental: bool = True,
         rule_prefix: str = "X",
         export_prefix: str = "F",
         round_hook: Optional[Callable] = None,
@@ -175,16 +161,11 @@ class GrammarRePair:
         self.kin = kin
         self.prune = prune
         self.optimized = optimized
-        self.incremental = incremental
         self.rule_prefix = rule_prefix
         self.export_prefix = export_prefix
         self.round_hook = round_hook
         self.barriers: Set[Symbol] = set(barriers) if barriers else set()
         self.stats = GrammarRePairStats()
-        # Structure maps captured from the occurrence index right before
-        # it detaches: lets the pruning phase run without whole-grammar
-        # walks (reference counts, referencers, sizes, anti-SL order).
-        self._prune_hints: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     def compress(
@@ -196,38 +177,29 @@ class GrammarRePair:
         """Recompress ``grammar``; returns the new grammar.
 
         With ``in_place=False`` (default) the input grammar is left
-        untouched.  ``dirty_rules`` (incremental mode only) scopes the
-        initial census to the given rules plus their digram frontier --
-        rules untouched since the last compression keep their digrams
-        as they are.
+        untouched.  ``dirty_rules`` scopes the initial census to the given
+        rules plus their digram frontier -- rules untouched since the
+        last compression keep their digrams as they are.
         """
         working = grammar if in_place else grammar.copy()
         stats = self.stats = GrammarRePairStats()
         stats.initial_size = working.size
         stats.max_intermediate_size = stats.initial_size
         stats.size_trace.append(stats.initial_size)
-        self._prune_hints = None
 
         loop_started = time.perf_counter()
-        if self.incremental:
-            self._compress_incremental(working, stats, dirty_rules)
-        else:
-            self._compress_full_rescan(working, stats)
+        counts, order, referencers, sizes = self._compress_rounds(
+            working, stats, dirty_rules
+        )
         loop_elapsed = time.perf_counter() - loop_started
         stats.rounds_seconds = max(0.0, loop_elapsed - stats.census_seconds)
 
         if self.prune:
             prune_started = time.perf_counter()
-            if self._prune_hints is not None:
-                counts, order, referencers, sizes = self._prune_hints
-                stats.rules_pruned = prune_grammar(
-                    working, protected=self.barriers, counts=counts,
-                    order=order, referencers=referencers, sizes=sizes,
-                )
-            else:
-                stats.rules_pruned = prune_grammar(
-                    working, protected=self.barriers
-                )
+            stats.rules_pruned = prune_grammar(
+                working, protected=self.barriers, counts=counts,
+                order=order, referencers=referencers, sizes=sizes,
+            )
             stats.prune_seconds = time.perf_counter() - prune_started
         stats.final_size = working.size
         stats.size_trace.append(stats.final_size)
@@ -259,13 +231,19 @@ class GrammarRePair:
             working, digram, replacement, occurrences, touched=touched
         )
 
-    def _compress_incremental(
+    def _compress_rounds(
         self,
         working: Grammar,
         stats: GrammarRePairStats,
         dirty_rules: Optional[Iterable[Symbol]],
-    ) -> None:
-        """One full census, then touched-rules-only maintenance."""
+    ) -> tuple:
+        """One (possibly scoped) census, then touched-rules-only upkeep.
+
+        Returns the occurrence index's structure maps (reference counts,
+        anti-SL order, referencers, rule sizes) as captured right before
+        it detaches, so the pruning phase runs without whole-grammar
+        walks.
+        """
         opaque: Set[Symbol] = set()
         index = GrammarOccurrenceIndex(
             working, opaque, barriers=self.barriers
@@ -279,14 +257,12 @@ class GrammarRePair:
         clock = time.perf_counter
         started = clock()
         index.build(seed_rules=seed)
-        elapsed = clock() - started
-        stats.maintenance_seconds += elapsed
-        stats.census_seconds += elapsed
+        stats.census_seconds += clock() - started
         try:
             while True:
                 started = clock()
                 best = index.best(self.kin)
-                stats.maintenance_seconds += clock() - started
+                stats.census_seconds += clock() - started
                 if best is None:
                     break
                 digram, _weight = best
@@ -323,7 +299,7 @@ class GrammarRePair:
                     index.mark_dead(digram)
                     started = clock()
                     index.apply_round(collect_garbage=False)
-                    stats.maintenance_seconds += clock() - started
+                    stats.census_seconds += clock() - started
                     continue
                 # apply_round garbage-collects dead rules itself (the
                 # usage table it needs for the weight refresh doubles as
@@ -331,7 +307,7 @@ class GrammarRePair:
                 # edge-locally instead of rescanning them.
                 started = clock()
                 index.apply_round(clean_edits=clean_edits)
-                stats.maintenance_seconds += clock() - started
+                stats.census_seconds += clock() - started
                 stats.rounds += 1
                 stats.rules_created += 1
                 stats.replacements += replaced
@@ -349,68 +325,14 @@ class GrammarRePair:
             stats.rules_censused = index.rules_censused
             stats.rules_adapted = index.rules_adapted
             stats.rules_partially_rescanned = index.rules_partially_rescanned
-            # Hand the maintained structure maps to the pruning phase so
-            # it runs without a single whole-grammar setup walk (the
-            # ROADMAP "fold pruning into the occurrence index" item).
-            self._prune_hints = (
+            prune_hints = (
                 dict(index.reference_counts_live()),
                 index.anti_sl_order_live(),
                 index.referencers_live(),
                 index.rule_edges_live(),
             )
             index.detach()
-
-    def _compress_full_rescan(
-        self, working: Grammar, stats: GrammarRePairStats
-    ) -> None:
-        """The historical loop: a full RETRIEVEOCCS census per round."""
-        opaque: Set[Symbol] = set()
-        dead_digrams: Set[Digram] = set()
-        clock = time.perf_counter
-        while True:
-            started = clock()
-            table = retrieve_occurrences(
-                working, opaque, barriers=self.barriers
-            )
-            stats.census_seconds += clock() - started
-            stats.full_censuses += 1
-            census_count = sum(
-                1 for head in working.rules if head not in opaque
-            )
-            stats.census_trace.append(census_count)
-            stats.rule_count_trace.append(len(working.rules))
-            stats.rules_censused += census_count
-            best = table.best(self.kin, skip=dead_digrams)
-            stats.maintenance_seconds += clock() - started
-            if best is None:
-                break
-            digram, _weight = best
-            occurrences = table.occurrences(digram)
-            replacement = working.alphabet.fresh_nonterminal(
-                digram.rank, self.rule_prefix
-            )
-            working.set_rule(replacement, digram_pattern(digram))
-            opaque.add(replacement)
-            replaced = self._replace(
-                working, digram, replacement, occurrences, opaque
-            )
-            if replaced == 0:
-                # Defensive: never loop on an irreplaceable digram.  The
-                # fresh rule is dropped again by garbage collection.
-                working.remove_rule(replacement)
-                opaque.discard(replacement)
-                dead_digrams.add(digram)
-                continue
-            started = clock()
-            collect_garbage(working)
-            stats.maintenance_seconds += clock() - started
-            stats.rounds += 1
-            stats.rules_created += 1
-            stats.replacements += replaced
-            size = working.size
-            stats.size_trace.append(size)
-            if size > stats.max_intermediate_size:
-                stats.max_intermediate_size = size
+        return prune_hints
 
     # ------------------------------------------------------------------
     def compress_tree(
@@ -436,9 +358,8 @@ def grammar_repair(
     kin: int = DEFAULT_KIN,
     prune: bool = True,
     optimized: bool = True,
-    incremental: bool = True,
 ) -> Grammar:
     """Convenience wrapper with default settings."""
     return GrammarRePair(
-        kin=kin, prune=prune, optimized=optimized, incremental=incremental
+        kin=kin, prune=prune, optimized=optimized
     ).compress(grammar)

@@ -81,24 +81,15 @@ class OccurrenceTable:
     def occurrences(self, digram: Digram) -> List[GrammarOccurrence]:
         return self.entries.get(digram, [])
 
-    def best(
-        self,
-        kin: int,
-        skip: Optional[Set[Digram]] = None,
-    ) -> Optional[Tuple[Digram, int]]:
+    def best(self, kin: int) -> Optional[Tuple[Digram, int]]:
         """Most frequent appropriate digram (deterministic tie-break).
 
-        ``skip`` carries digrams the caller has already discarded (e.g.
-        digrams whose replacement failed).  The peek is non-destructive:
-        rejected and skipped digrams stay queued, so later calls with a
-        different ``skip`` set still see them.
+        The peek is non-destructive: rejected digrams stay queued, so a
+        later call with a different ``kin`` still sees them.
         """
-        def accept(digram: Digram, weight: int) -> bool:
-            if skip and digram in skip:
-                return False
-            return digram.is_appropriate(kin, weight)
-
-        return self.queue.peek_best(accept)
+        return self.queue.peek_best(
+            lambda digram, weight: digram.is_appropriate(kin, weight)
+        )
 
     def __len__(self) -> int:
         return len(self.entries)

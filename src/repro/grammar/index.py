@@ -204,7 +204,7 @@ class GrammarIndex:
             stack.extend(self._dependents.pop(current, ()))
 
     def invalidate_all(self) -> None:
-        """Drop every cache entry (e.g. after a full recompression run)."""
+        """Drop every cache entry (scrub's repair fallback)."""
         self._node_segments.clear()
         self._elem_segments.clear()
         self._dependents.clear()

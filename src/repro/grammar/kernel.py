@@ -525,8 +525,9 @@ class GrammarKernel:
                 self._m_evictions.inc()
 
     def invalidate_all(self) -> None:
-        """Wholesale reset -- must never fire on the incremental path
-        (the bench gates assert the counter stays 0)."""
+        """Wholesale reset -- must never fire on the update or
+        recompression paths (the bench gates assert the counter stays
+        0)."""
         if self._packs:
             self._packs.clear()
         self.wholesale_invalidations += 1

@@ -114,7 +114,7 @@ class LabelIndex:
             stack.extend(self._dependents.pop(current, ()))
 
     def invalidate_all(self) -> None:
-        """Drop every cache entry (the non-incremental reset path)."""
+        """Drop every cache entry (scrub's repair fallback)."""
         self._rule_counts.clear()
         self._node_tables.clear()
         self._tabled_labels.clear()

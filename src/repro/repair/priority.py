@@ -75,7 +75,7 @@ class DigramPriorityQueue:
         with a different predicate may accept them), stale entries are
         discarded permanently, and the winner stays in the queue.  This is
         what makes the queue usable for one-shot tables whose callers vary
-        the acceptance condition (``skip`` sets) between calls.
+        the acceptance condition (e.g. ``kin``) between calls.
         """
         rejected: List[Tuple[int, Tuple[str, int, str], Digram]] = []
         found: Optional[Tuple[Digram, int]] = None

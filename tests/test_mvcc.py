@@ -3,8 +3,8 @@
 The contract under test: ``doc.snapshot()`` pins the grammar epoch that
 was current at the call, and the returned :class:`SnapshotView` answers
 the whole read surface *as of that epoch* no matter what the writer does
-afterwards -- single updates, batches, resharding, or recompression
-(incremental and wholesale).  Pins are refcounted; the copy-on-write
+afterwards -- single updates, batches, resharding, recompression, or a
+wholesale index reset.  Pins are refcounted; the copy-on-write
 overlay behind an epoch is reclaimed when its last view closes.
 """
 
@@ -213,35 +213,45 @@ class TestSnapshotVsBatch:
 
 
 class TestEvictionVsPin:
-    """Satellite: wholesale index eviction must not reach into views.
+    """Wholesale index eviction must not reach into views.
 
-    With ``incremental_recompress=False`` a recompression resets the
-    document's indexes via ``invalidate_all`` -- the one remaining
-    wholesale-eviction path.  A pinned view owns private index tables
-    over its frozen grammar (built with ``register=False``), so the
-    reset must be invisible to it.
+    ``invalidate_all`` on the document's indexes is what the online
+    scrub falls back to when it finds index drift it cannot pin on one
+    rule -- the one remaining wholesale-eviction path.  A pinned view
+    owns private index tables over its frozen grammar (built with
+    ``register=False``), so the reset must be invisible to it.
     """
 
+    @staticmethod
+    def reset_wholesale(doc):
+        doc.index.invalidate_all()
+        doc.label_index.invalidate_all()
+
     def test_wholesale_invalidation_does_not_touch_views(self):
-        doc = make_doc(incremental_recompress=False)
+        doc = make_doc()
         with doc.snapshot() as view:
             expected = view.to_xml()
             assert view.element_count == 19  # warm the view's tables
             assert view.select("//status")
             for index in range(1, 8):
                 doc.rename(index, f"t{index}")
-            doc.recompress()  # invalidate_all on the doc's indexes
+            self.reset_wholesale(doc)
+            assert doc.index.wholesale_invalidations == 1
+            assert doc.label_index.wholesale_invalidations == 1
             assert view.to_xml() == expected
             assert view.element_count == 19
             assert view.tag_of(1) == "entry"
             assert len(view.select("//status")) == 6
 
     def test_doc_indexes_do_recover_after_wholesale_reset(self):
-        doc = make_doc(incremental_recompress=False)
+        doc = make_doc()
         with doc.snapshot() as view:
             doc.rename(1, "alpha")
-            doc.recompress()
+            assert doc.count("//alpha") == 1  # warm the doc's tables
+            self.reset_wholesale(doc)
             assert doc.tag_of(1) == "alpha"
+            assert doc.element_count == 19
+            assert doc.count("//alpha") == 1
             assert view.tag_of(1) == "entry"
 
 
