@@ -204,6 +204,29 @@ class TestCensusInstrumentation:
         assert stats.census_seconds >= slept
         assert stats.rounds_seconds < slept
 
+    def test_auto_policy_full_run_censuses_once(self):
+        """When the auto policy finds the dirty slice too large to scope
+        to, the run it starts censuses the whole grammar -- once, not per
+        round -- and resets neither index wholesale."""
+        doc = CompressedXml.from_xml(
+            "<log>" + "<e><a/><b/></e>" * 60 + "</log>",
+            auto_recompress_factor=1.5,
+        )
+        doc.tag_of(3)  # warm the structural index
+        appended = 0
+        while doc.recompress_runs == 0:
+            assert appended < 200, "auto-recompression never triggered"
+            doc.append_child(0, XmlNode(f"n{appended % 7}"))
+            appended += 1
+        stats = doc.last_repair_stats
+        assert stats.seed_rule_count is None  # the unscoped census
+        assert stats.full_censuses == 1
+        assert stats.rounds > 0
+        assert doc.index.wholesale_invalidations == 0
+        assert doc.label_index.wholesale_invalidations == 0
+        assert doc.element_count == 1 + 60 * 3 + appended
+        assert doc.tag_of(doc.element_count - 1) == f"n{(appended - 1) % 7}"
+
     def test_dirty_seeded_census_scopes_to_frontier(self):
         doc = CompressedXml.from_xml(
             "<log>" + "<e><a/><b/></e>" * 150 + "</log>"
@@ -299,6 +322,26 @@ class TestQueueBackedTableBest:
         assert table.best(kin=2) == self._reference_best(table, 2)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(slcf_grammars())
+    def test_best_follows_incremental_adds(self, grammar):
+        """The queue behind ``best`` tracks every ``add``: rebuilding a
+        census digram by digram, the best after each step equals the
+        linear scan over what has been added so far."""
+        from repro.core.retrieve import OccurrenceTable
+
+        census = retrieve_occurrences(grammar)
+        table = OccurrenceTable()
+        for digram in sorted(census.entries, key=lambda d: d.sort_key()):
+            first, *rest = census.occurrences(digram)
+            table.add(digram, first, census.weight(digram))
+            for occurrence in rest:
+                table.add(digram, occurrence, 0)
+            assert table.best(kin=4) == self._reference_best(table, 4)
+            assert table.best(kin=2) == self._reference_best(table, 2)
+        assert table.weights == census.weights
+
+
 class TestDirtyScopedRecompression:
     @settings(max_examples=20, deadline=None)
     @given(xml_documents(max_elements=25), update_scripts(max_ops=10))
@@ -363,6 +406,23 @@ class TestDirtyScopedRecompression:
         doc.recompress()
         assert doc.last_repair_stats.seed_rule_count is not None
 
+    def test_full_census_run_keeps_index_tables(self):
+        """The whole-grammar census of a first run is no wholesale reset:
+        the structural index sees only per-rule evictions and keeps
+        answering correctly."""
+        doc = CompressedXml.from_xml(
+            "<log>" + "<e/>" * 100 + "</log>", compress=False
+        )
+        assert doc.tag_of(3) == "e"  # warm the structural index
+        doc.rename(1, "first")
+        doc.recompress()
+        assert doc.last_repair_stats.full_censuses == 1
+        assert doc.index.wholesale_invalidations == 0
+        assert doc.compressed_size < 100
+        assert doc.tag_of(1) == "first"
+        assert doc.tag_of(3) == "e"
+        assert doc.element_count == 101
+
     def test_recompress_instrumentation(self):
         doc = CompressedXml.from_xml("<log>" + "<e/>" * 60 + "</log>")
         assert doc.recompress_runs == 0
@@ -418,6 +478,21 @@ class TestPruningRidesCachedStructure:
         )
         assert calls["anti_sl_order"] == 0
         doc.grammar.validate()
+
+    def test_scoped_rerun_prune_does_no_setup_walks(self, monkeypatch):
+        """A dirty-scoped recompression after an update rides the cached
+        structure maps too, not only the first whole-grammar run."""
+        doc = CompressedXml.from_xml(self.XML)
+        doc.rename(1, "first")
+        doc.rename(100, "hundredth")
+        calls = self._forbid_walks(monkeypatch)
+        doc.recompress()
+        assert doc.last_repair_stats.seed_rule_count is not None
+        assert calls["reference_counts"] == 0
+        assert calls["anti_sl_order"] == 0
+        doc.grammar.validate()
+        assert doc.tag_of(1) == "first"
+        assert doc.tag_of(100) == "hundredth"
 
     @settings(max_examples=30, deadline=None)
     @given(slcf_grammars())

@@ -152,6 +152,22 @@ class TestInvalidation:
         assert_census_matches(doc, lindex)
 
 
+    def test_full_census_recompress_keeps_label_tables(self):
+        """The first run on a never-compressed grammar censuses the whole
+        grammar, yet the label index sees per-rule evictions only."""
+        doc = CompressedXml.from_xml(
+            "<log>" + "<e/>" * 50 + "</log>", compress=False
+        )
+        lindex = doc.label_index
+        assert_census_matches(doc, lindex)
+        doc.rename(3, "x")
+        doc.recompress()
+        assert doc.last_repair_stats.full_censuses == 1
+        assert lindex.wholesale_invalidations == 0
+        assert_census_matches(doc, lindex)
+        assert lindex.document_label_count("x") == 1
+        assert lindex.document_label_count("e") == 49
+
 class TestUpdateInterleavings:
     @given(xml_documents(max_elements=20), update_scripts(max_ops=8))
     @settings(max_examples=20, deadline=None)
